@@ -4,21 +4,24 @@ import (
 	"fmt"
 	"sort"
 
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
+	"tasterschoice/internal/symtab"
 )
 
 // feedPrograms returns the set of affiliate programs visible in a
 // feed's tagged domains, keyed by program id rendered as a string (the
 // Matrix machinery is string-set based).
 func feedPrograms(ds *Dataset, name string) map[string]bool {
-	out := make(map[string]bool)
-	ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
+	programs := make(map[int]bool)
+	ds.Feed(name).EachIDUnordered(func(d symtab.ID, _ int64) {
 		l := ds.Labels.Get(d)
 		if l != nil && l.TaggedClean() && l.Program >= 0 {
-			out[fmt.Sprintf("p%d", l.Program)] = true
+			programs[l.Program] = true
 		}
 	})
+	out := make(map[string]bool, len(programs))
+	for p := range programs {
+		out[fmt.Sprintf("p%d", p)] = true //lint:allow stringalloc -- Matrix edge: one key per distinct program
+	}
 	return out
 }
 
@@ -26,7 +29,7 @@ func feedPrograms(ds *Dataset, name string) map[string]bool {
 // feed's tagged domains.
 func feedAffiliateKeys(ds *Dataset, name string) map[string]bool {
 	out := make(map[string]bool)
-	ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
+	ds.Feed(name).EachIDUnordered(func(d symtab.ID, _ int64) {
 		l := ds.Labels.Get(d)
 		if l != nil && l.TaggedClean() && l.AffiliateKey != "" {
 			out[l.AffiliateKey] = true

@@ -8,7 +8,9 @@ import (
 
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/ecosystem"
+	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/mailflow"
+	"tasterschoice/internal/symtab"
 )
 
 var (
@@ -50,23 +52,25 @@ func testDataset(t *testing.T) *Dataset {
 
 func TestLabelsCoverUnion(t *testing.T) {
 	ds := testDataset(t)
+	union := make(map[domain.Name]bool)
 	for _, name := range ds.Result.Order {
 		for _, d := range ds.Feed(name).Domains() {
-			if ds.Labels.Get(d) == nil {
+			union[d] = true
+			if labelOf(ds, d) == nil {
 				t.Fatalf("feed %s domain %s unlabeled", name, d)
 			}
 		}
 	}
-	if len(ds.Union()) != ds.Labels.Len() {
-		t.Fatalf("union %d vs labels %d", len(ds.Union()), ds.Labels.Len())
+	if len(union) != ds.Labels.Len() {
+		t.Fatalf("union %d vs labels %d", len(union), ds.Labels.Len())
 	}
 }
 
 func TestLabelConsistency(t *testing.T) {
 	ds := testDataset(t)
 	var taggedCount, liveCount, httpCount int
-	for _, d := range ds.Union() {
-		l := ds.Labels.Get(d)
+	for _, sym := range ds.Labels.syms {
+		l, d := ds.Labels.Get(sym), ds.name(sym)
 		if l.Tagged && !l.HTTP {
 			t.Fatalf("%s tagged but not HTTP-live", d)
 		}
@@ -555,12 +559,42 @@ func TestBuildLabelsWorkerCountInvariant(t *testing.T) {
 	if serial.Len() != parallel.Len() {
 		t.Fatalf("label counts differ: %d vs %d", serial.Len(), parallel.Len())
 	}
-	for _, d := range ds.Union() {
+	for _, d := range serial.syms {
 		a, b := serial.Get(d), parallel.Get(d)
-		if *a != *b {
-			t.Fatalf("label for %s differs: %+v vs %+v", d, a, b)
+		if b == nil || *a != *b {
+			t.Fatalf("label for %s differs: %+v vs %+v", ds.name(d), a, b)
 		}
 	}
+}
+
+func TestLabelsGetUnlabeled(t *testing.T) {
+	ds := testDataset(t)
+	// ID 0 is the empty string, which no feed holds, and an ID past the
+	// end of the table as labeled has no row.
+	for _, d := range []symtab.ID{0, symtab.ID(len(ds.Labels.pos))} {
+		if l := ds.Labels.Get(d); l != nil {
+			t.Errorf("Get(%d) = %+v, want nil", d, l)
+		}
+	}
+	if l := labelOf(ds, "never-interned.example"); l != nil {
+		t.Errorf("labelOf(never-interned.example) = %+v, want nil", l)
+	}
+}
+
+func TestBuildLabelsRejectsUnboundFeed(t *testing.T) {
+	// Labels are keyed by world symbol ID, so a feed interning into a
+	// table of its own must be refused rather than mislabeled.
+	ds := testDataset(t)
+	res := &mailflow.Result{
+		Feeds: map[string]*feeds.Feed{"own": feeds.New("own", feeds.KindHybrid, false, false)},
+		Order: []string{"own"},
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BuildLabels accepted a feed bound to another symbol table")
+		}
+	}()
+	BuildLabelsConcurrent(ds.World, res, 1)
 }
 
 func TestVolumeFeedsList(t *testing.T) {

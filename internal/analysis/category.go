@@ -1,9 +1,8 @@
 package analysis
 
 import (
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/ecosystem"
-	"tasterschoice/internal/feeds"
+	"tasterschoice/internal/symtab"
 )
 
 // CategoryRow is one feed's tagged-domain composition across the three
@@ -27,7 +26,7 @@ func CategoryBreakdown(ds *Dataset) []CategoryRow {
 	out := make([]CategoryRow, 0, len(ds.Result.Order))
 	for _, name := range ds.Result.Order {
 		row := CategoryRow{Name: name}
-		ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
+		ds.Feed(name).EachIDUnordered(func(d symtab.ID, _ int64) {
 			l := ds.Labels.Get(d)
 			if l == nil || !l.TaggedClean() {
 				return
@@ -63,48 +62,45 @@ type ShareRow struct {
 // CategoryShares computes per-feed category volume shares for the
 // volume feeds, plus the oracle's ground truth as the "Mail" row.
 func CategoryShares(ds *Dataset) []ShareRow {
-	categoryOf := func(d string) (ecosystem.Category, bool) {
-		l := ds.Labels.Get(domain.Name(d))
+	// volumes accumulates one row's per-category volume over tagged
+	// domains; the sums are integers, so visit order does not matter.
+	type volumes struct{ pharma, replica, software, total int64 }
+	add := func(v *volumes, d symtab.ID, c int64) {
+		l := ds.Labels.Get(d)
 		if l == nil || !l.TaggedClean() {
-			return 0, false
+			return
 		}
-		return l.Category, true
+		v.total += c
+		switch l.Category {
+		case ecosystem.CategoryPharma:
+			v.pharma += c
+		case ecosystem.CategoryReplica:
+			v.replica += c
+		case ecosystem.CategorySoftware:
+			v.software += c
+		}
 	}
-	rowFrom := func(name string, counts map[string]int64) ShareRow {
-		var pharma, replica, software, total int64
-		for d, c := range counts {
-			cat, ok := categoryOf(d)
-			if !ok {
-				continue
-			}
-			total += c
-			switch cat {
-			case ecosystem.CategoryPharma:
-				pharma += c
-			case ecosystem.CategoryReplica:
-				replica += c
-			case ecosystem.CategorySoftware:
-				software += c
-			}
-		}
+	rowFrom := func(name string, v volumes) ShareRow {
 		row := ShareRow{Name: name}
-		if total > 0 {
-			row.PharmaShare = float64(pharma) / float64(total)
-			row.ReplicaShare = float64(replica) / float64(total)
-			row.SoftwareShare = float64(software) / float64(total)
+		if v.total > 0 {
+			row.PharmaShare = float64(v.pharma) / float64(v.total)
+			row.ReplicaShare = float64(v.replica) / float64(v.total)
+			row.SoftwareShare = float64(v.software) / float64(v.total)
 		}
 		return row
 	}
 
-	// Ground truth first: oracle volumes over the tagged union.
-	union := taggedUnion(ds)
-	mailCounts := make(map[string]int64)
-	for d := range union {
-		mailCounts[d] = ds.Result.Oracle.Volume(domain.Name(d))
+	// Ground truth first: oracle volumes over the tagged union, which
+	// is the tagged part of the labeled (feed-domain) union.
+	var mail volumes
+	for _, d := range ds.Labels.syms {
+		add(&mail, d, ds.Result.Oracle.VolumeID(d))
 	}
-	rows := []ShareRow{rowFrom(MailColumn, mailCounts)}
+	rows := []ShareRow{rowFrom(MailColumn, mail)}
 	for _, name := range VolumeFeeds(ds) {
-		rows = append(rows, rowFrom(name, ds.Feed(name).Counts()))
+		var v volumes
+		ds.Feed(name).EachIDUnordered(func(d symtab.ID, c int64) { add(&v, d, c) })
+		rows = append(rows, rowFrom(name, v))
 	}
 	return rows
 }

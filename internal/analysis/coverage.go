@@ -1,10 +1,9 @@
 package analysis
 
 import (
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/stats"
+	"tasterschoice/internal/symtab"
 )
 
 // DomainClass selects which domain definition an analysis runs over.
@@ -52,9 +51,9 @@ func (c DomainClass) member(l *Label) bool {
 // set of plain strings.
 func FeedDomains(ds *Dataset, name string, class DomainClass) map[string]bool {
 	out := make(map[string]bool)
-	ds.Feed(name).EachUnordered(func(d domain.Name, _ feeds.DomainStat) {
+	ds.Feed(name).EachIDUnordered(func(d symtab.ID, _ int64) {
 		if class.member(ds.Labels.Get(d)) {
-			out[string(d)] = true
+			out[ds.name(d)] = true
 		}
 	})
 	return out

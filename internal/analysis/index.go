@@ -1,32 +1,30 @@
 package analysis
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 	"sync"
 
 	"tasterschoice/internal/bitset"
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/parallel"
+	"tasterschoice/internal/symtab"
 )
 
 // Index is the dataset's interned-domain view: every domain occurring
-// in any feed gets a dense integer id (assigned in sorted order, so
-// ids are stable across runs), and each feed's membership becomes a
-// bitset over those ids. The paper's coverage and intersection tables
-// — recomputed in full for every class, as list-comparison studies
-// must be — then reduce to word-wise AND/popcount passes that shard
-// across workers.
+// in any feed gets a dense integer id (assigned in sorted-name order,
+// so ids are stable across runs and ascending id order is name order),
+// and each feed's membership becomes a bitset over those ids. The
+// paper's coverage and intersection tables — recomputed in full for
+// every class, as list-comparison studies must be — then reduce to
+// word-wise AND/popcount passes that shard across workers.
 //
 // The index is built lazily on first use and cached; it assumes the
 // Dataset is immutable from that point on, which holds for every
 // dataset produced by simulate/NewDataset.
 type Index struct {
 	ds *Dataset
-	// Domains maps id → name, ascending; ByName inverts it.
-	Domains []domain.Name
-	ByName  map[domain.Name]int32
-	// labels[id] mirrors ds.Labels.Get(Domains[id]).
+	// labels[id] is the label of the domain with that id.
 	labels []*Label
 	// feedIDs[name] holds the feed's member ids, ascending.
 	feedIDs map[string][]int32
@@ -58,65 +56,63 @@ func (ds *Dataset) Index() *Index {
 	return ds.idx
 }
 
-// buildIndex interns the union of feed domains (which BuildLabels
-// labels exhaustively); label-only domains absent from every feed get
-// no id — they cannot appear in any table.
+// buildIndex numbers the labeled domains (BuildLabels labels the union
+// of feed domains exhaustively) in sorted-name order and maps each
+// feed's rows onto those ids, all by symbol ID.
 func buildIndex(ds *Dataset, workers int) *Index {
 	order := ds.Result.Order
+	tab := ds.World.Syms
 	ix := &Index{
 		ds:       ds,
 		feedIDs:  make(map[string][]int32, len(order)),
 		feedBits: make(map[string]*bitset.Set, len(order)),
 	}
+	type entry struct {
+		name string
+		sym  symtab.ID
+	}
+	ents := make([]entry, len(ds.Labels.syms))
+	for i, d := range ds.Labels.syms {
+		ents[i] = entry{tab.Lookup(d), d}
+	}
+	slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.name, b.name) })
 
-	union := make(map[domain.Name]struct{}, ds.Labels.Len())
-	for _, name := range order {
-		ds.Feed(name).EachUnordered(func(d domain.Name, _ feeds.DomainStat) {
-			union[d] = struct{}{}
-		})
-	}
-	ix.Domains = make([]domain.Name, 0, len(union))
-	for d := range union {
-		ix.Domains = append(ix.Domains, d)
-	}
-	sort.Slice(ix.Domains, func(i, j int) bool { return ix.Domains[i] < ix.Domains[j] })
-
-	n := len(ix.Domains)
-	ix.ByName = make(map[domain.Name]int32, n)
-	for i, d := range ix.Domains {
-		ix.ByName[d] = int32(i)
-	}
+	n := len(ents)
+	// idOf[sym] is sym's id; only feed domains are ever looked up.
+	idOf := make([]int32, len(ds.Labels.pos))
 	ix.labels = make([]*Label, n)
-	parallel.Ranges(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ix.labels[i] = ds.Labels.Get(ix.Domains[i])
-		}
-	})
+	for i, e := range ents {
+		idOf[e.sym] = int32(i)
+		ix.labels[i] = ds.Labels.Get(e.sym)
+	}
 
-	// Per-feed id lists and bitsets, one feed per worker.
+	// Per-feed bitsets, one feed per worker; each feed's ascending id
+	// list is read back off its bitset.
 	ids := make([][]int32, len(order))
-	bits := make([]*bitset.Set, len(order))
+	bitsets := make([]*bitset.Set, len(order))
 	parallel.ForEach(workers, len(order), func(i int) {
 		f := ds.Feed(order[i])
-		list := make([]int32, 0, f.Unique())
 		b := bitset.New(n)
-		f.EachUnordered(func(d domain.Name, _ feeds.DomainStat) {
-			id := ix.ByName[d]
-			list = append(list, id)
-			b.Set(int(id))
+		f.EachIDUnordered(func(d symtab.ID, _ int64) {
+			b.Set(int(idOf[d]))
 		})
-		sort.Slice(list, func(a, c int) bool { return list[a] < list[c] })
+		list := make([]int32, 0, f.Unique())
+		for w, word := range b.Words() {
+			for ; word != 0; word &= word - 1 {
+				list = append(list, int32(w*64+bits.TrailingZeros64(word)))
+			}
+		}
 		ids[i] = list
-		bits[i] = b
+		bitsets[i] = b
 	})
 	for i, name := range order {
 		ix.feedIDs[name] = ids[i]
-		ix.feedBits[name] = bits[i]
+		ix.feedBits[name] = bitsets[i]
 	}
 	return ix
 }
 
-// Label returns the label for id (nil if the domain was unlabeled).
+// Label returns the label for id.
 func (ix *Index) Label(id int32) *Label { return ix.labels[id] }
 
 // FeedIDs returns the feed's member ids in ascending order.
@@ -131,11 +127,12 @@ func (ix *Index) class(c DomainClass) *classView {
 }
 
 func (ix *Index) buildClass(c DomainClass, workers int) *classView {
-	n := len(ix.Domains)
+	n := len(ix.labels)
 	cv := &classView{bits: bitset.New(n)}
-	// Membership bits: each worker owns a contiguous id range.
-	parallel.Ranges(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	// Membership bits: each worker owns a contiguous range of whole
+	// words, so no two workers write the same word.
+	parallel.Ranges(workers, len(cv.bits.Words()), func(lo, hi int) {
+		for i := lo * 64; i < min(hi*64, n); i++ {
 			if c.member(ix.labels[i]) {
 				cv.bits.Set(i)
 			}

@@ -18,7 +18,7 @@ package analysis
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"tasterschoice/internal/domain"
@@ -26,6 +26,7 @@ import (
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/symtab"
 	"tasterschoice/internal/webcrawl"
 )
 
@@ -60,18 +61,24 @@ func (l *Label) Live() bool { return l.HTTP && !l.Benignish() }
 // definition (tagged minus Alexa/ODP).
 func (l *Label) TaggedClean() bool { return l.Tagged && !l.Benignish() }
 
-// Labels maps every domain occurring in any feed to its label. Labels
-// live in one contiguous slice indexed through a map, rather than one
-// heap object per domain.
+// Labels maps every domain occurring in any feed to its label, keyed by
+// the domain's symbol ID in the world's table (the table every feed is
+// bound to). Labels live in one contiguous slice; pos is a dense
+// symbol-indexed slice holding each labeled symbol's row plus one.
 type Labels struct {
-	idx  map[domain.Name]int32
+	pos  []int32
 	rows []Label
+	// syms[i] is the domain symbol of rows[i].
+	syms []symtab.ID
 }
 
-// Get returns the label for d (nil if d was in no feed).
-func (ls *Labels) Get(d domain.Name) *Label {
-	if i, ok := ls.idx[d]; ok {
-		return &ls.rows[i]
+// Get returns the label for the domain symbol d (nil if d was in no
+// feed).
+func (ls *Labels) Get(d symtab.ID) *Label {
+	if int(d) < len(ls.pos) {
+		if i := ls.pos[d]; i != 0 {
+			return &ls.rows[i-1]
+		}
 	}
 	return nil
 }
@@ -91,18 +98,11 @@ type Dataset struct {
 	idx     *Index
 }
 
-// Union returns all labeled domains in sorted order.
-func (ds *Dataset) Union() []domain.Name {
-	out := make([]domain.Name, 0, ds.Labels.Len())
-	for d := range ds.Labels.idx {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Feed returns the named feed.
 func (ds *Dataset) Feed(name string) *feeds.Feed { return ds.Result.Feed(name) }
+
+// name returns the domain name of symbol d, for the report edge.
+func (ds *Dataset) name(d symtab.ID) string { return ds.World.Syms.Lookup(d) }
 
 // BuildLabels crawls and zone-checks every domain occurring in any
 // feed, using one crawler worker per CPU. For each domain it visits
@@ -124,36 +124,43 @@ func BuildLabelsConcurrent(w *ecosystem.World, res *mailflow.Result, workers int
 
 // BuildLabelsWith labels using caller-provided crawler instances — one
 // per worker — so the crawl can run over the in-process simulator or a
-// real-HTTP webhost crawler interchangeably.
+// real-HTTP webhost crawler interchangeably. Every feed must be bound
+// to the world's symbol table, as the collection engine binds them.
 func BuildLabelsWith(w *ecosystem.World, res *mailflow.Result, workers int,
 	newVisitor func() webcrawl.Visitor) *Labels {
 	if workers < 1 {
 		workers = 1
 	}
 	zoneWindow := zoneCheckWindow(w)
-	ls := &Labels{idx: make(map[domain.Name]int32)}
+	fs := make([]*feeds.Feed, len(res.Order))
+	for i, name := range res.Order {
+		fs[i] = res.Feed(name)
+	}
+	if i := slices.IndexFunc(fs, func(f *feeds.Feed) bool { return f.Syms() != w.Syms }); i >= 0 {
+		panic("analysis: feed " + res.Order[i] + " is not bound to the world's symbol table")
+	}
+	ls := &Labels{pos: make([]int32, w.Syms.Len())}
 
 	// Collect the union of feed domains in deterministic (feed-order,
 	// then insertion-order) sequence. Sample URLs are not materialized
 	// here: labelOne pulls them per domain straight from the feeds, so
 	// no per-domain URL slices are built up front.
-	var domains []domain.Name
-	for _, name := range res.Order {
-		res.Feed(name).EachUnordered(func(d domain.Name, _ feeds.DomainStat) {
-			if _, seen := ls.idx[d]; !seen {
-				ls.idx[d] = int32(len(domains))
-				domains = append(domains, d)
+	for _, f := range fs {
+		f.EachIDUnordered(func(d symtab.ID, _ int64) {
+			if ls.pos[d] == 0 {
+				ls.syms = append(ls.syms, d)
+				ls.pos[d] = int32(len(ls.syms))
 			}
 		})
 	}
-	ls.rows = make([]Label, len(domains))
+	ls.rows = make([]Label, len(ls.syms))
 	for i := range ls.rows {
 		ls.rows[i].Program = -1
 		ls.rows[i].Affiliate = -1
 	}
 
-	if workers > len(domains) {
-		workers = len(domains)
+	if workers > len(ls.rows) {
+		workers = len(ls.rows)
 	}
 	// Shard the domains across workers; every label is written only
 	// by its own worker, so no locking is needed.
@@ -163,9 +170,8 @@ func BuildLabelsWith(w *ecosystem.World, res *mailflow.Result, workers int,
 		go func(shard int) {
 			defer wg.Done()
 			crawler := newVisitor()
-			for i := shard; i < len(domains); i += workers {
-				d := domains[i]
-				labelOne(w, crawler, zoneWindow, d, res, &ls.rows[ls.idx[d]])
+			for i := shard; i < len(ls.rows); i += workers {
+				labelOne(w, crawler, zoneWindow, ls.syms[i], fs, &ls.rows[i])
 			}
 		}(wk)
 	}
@@ -178,37 +184,27 @@ func BuildLabelsWith(w *ecosystem.World, res *mailflow.Result, workers int,
 // preserve redirection context) into a stack buffer; a domain no feed
 // attached a URL to gets the paper's bare "http://domain/" visit.
 func labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
-	zoneWindow simclock.Window, d domain.Name, res *mailflow.Result, label *Label) {
-	label.InZoneTLD = w.Registry.Covers(d)
+	zoneWindow simclock.Window, d symtab.ID, fs []*feeds.Feed, label *Label) {
+	name := domain.Name(w.Syms.Lookup(d))
+	label.InZoneTLD = w.Registry.Covers(name)
 	if label.InZoneTLD {
-		label.DNS = w.Registry.AppearedDuring(d, zoneWindow)
+		label.DNS = w.Registry.AppearedDuring(name, zoneWindow)
 	}
-	if info, ok := w.Info(d); ok {
+	if info, ok := w.Info(name); ok {
 		label.Alexa = info.Alexa
 		label.ODP = info.ODP
 	}
-	var urlBuf [16]string
+	// The table interns each string once, so distinct URLs have
+	// distinct IDs, and ID 0 is the empty (absent) URL.
+	var urlBuf [16]symtab.ID
 	urls := urlBuf[:0]
-	for _, name := range res.Order {
-		s, ok := res.Feed(name).Stat(d)
-		if !ok || s.SampleURL == "" {
-			continue
-		}
-		dup := false
-		for _, u := range urls {
-			if u == s.SampleURL {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			urls = append(urls, s.SampleURL)
+	for _, f := range fs {
+		u, _ := f.SampleURLID(d)
+		if u != 0 && !slices.Contains(urls, u) {
+			urls = append(urls, u)
 		}
 	}
-	if len(urls) == 0 {
-		urls = append(urls, "http://"+string(d)+"/")
-	}
-	for _, u := range urls {
+	visit := func(u string) {
 		r := crawler.Visit(u)
 		if r.OK {
 			label.HTTP = true
@@ -220,6 +216,12 @@ func labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
 			label.AffiliateKey = r.AffiliateKey
 			label.Category = r.Category
 		}
+	}
+	if len(urls) == 0 {
+		visit("http://" + string(name) + "/")
+	}
+	for _, u := range urls {
+		visit(w.Syms.Lookup(u))
 	}
 }
 

@@ -3,6 +3,7 @@ package analysis
 import (
 	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/stats"
+	"tasterschoice/internal/symtab"
 )
 
 // VolumeFeeds returns the feeds whose per-domain counts carry volume
@@ -26,25 +27,29 @@ const MailColumn = "Mail"
 // feedTaggedDist returns a feed's empirical volume distribution over
 // its tagged domains.
 func feedTaggedDist(ds *Dataset, name string) stats.Dist {
-	tagged := FeedDomains(ds, name, ClassTagged)
 	counts := make(map[string]int64)
-	for d, c := range ds.Feed(name).Counts() {
-		if tagged[d] {
-			counts[d] = c
+	ds.Feed(name).EachIDUnordered(func(d symtab.ID, c int64) {
+		if ClassTagged.member(ds.Labels.Get(d)) {
+			counts[ds.name(d)] = c
 		}
-	}
+	})
 	return stats.NewDistFromCounts(counts)
 }
 
-// taggedUnion returns the union of tagged domains across all feeds.
-func taggedUnion(ds *Dataset) map[string]bool {
-	u := make(map[string]bool)
-	for _, name := range ds.Result.Order {
-		for d := range FeedDomains(ds, name, ClassTagged) {
-			u[d] = true
+// mailTaggedDist returns the incoming-mail oracle's volume distribution
+// over the tagged domains appearing in at least one feed: the paper's
+// "Mail" column sets the probability of any domain outside the union
+// of feeds to zero.
+func mailTaggedDist(ds *Dataset) stats.Dist {
+	counts := make(map[string]int64)
+	for _, d := range ds.Labels.syms {
+		if ClassTagged.member(ds.Labels.Get(d)) {
+			if c := ds.Result.Oracle.VolumeID(d); c > 0 {
+				counts[ds.name(d)] = c
+			}
 		}
 	}
-	return u
+	return stats.NewDistFromCounts(counts)
 }
 
 // PairwiseDist holds a symmetric pairwise comparison over the volume
@@ -102,10 +107,7 @@ func proportionInputs(ds *Dataset) ([]string, []stats.Dist) {
 	dists := make([]stats.Dist, len(names))
 	parallel.ForEach(0, len(names), func(i int) {
 		if i == 0 {
-			// The Mail distribution covers tagged domains appearing in
-			// at least one feed (pi = 0 outside the union, per the
-			// paper).
-			dists[0] = ds.Result.Oracle.Dist(taggedUnion(ds))
+			dists[0] = mailTaggedDist(ds)
 			return
 		}
 		dists[i] = feedTaggedDist(ds, names[i])

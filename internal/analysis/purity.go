@@ -82,7 +82,7 @@ func purityRow(ds *Dataset, name string) PurityRow {
 	f := ds.Feed(name)
 	var covered, dns, http, tagged, odp, alexa, total int
 	f.Each(func(d domain.Name, _ feeds.DomainStat) {
-		l := ds.Labels.Get(d)
+		l := labelOf(ds, d)
 		if l == nil {
 			return
 		}

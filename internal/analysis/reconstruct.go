@@ -6,6 +6,7 @@ import (
 
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/stats"
+	"tasterschoice/internal/symtab"
 )
 
 // Campaign reconstruction: the paper notes that "the relationship
@@ -46,22 +47,22 @@ func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Rec
 	}
 	feed := ds.Feed(feedName)
 	var items []item
-	for d := range FeedDomains(ds, feedName, ClassTagged) {
-		dn := domain.Name(d)
-		l := ds.Labels.Get(dn)
+	feed.EachIDUnordered(func(d symtab.ID, _ int64) {
+		l := ds.Labels.Get(d)
+		if !ClassTagged.member(l) {
+			return
+		}
+		dn := domain.Name(ds.name(d))
 		info, ok := ds.World.Info(dn)
-		if l == nil || !ok || info.Campaign < 0 {
-			continue
+		if !ok || info.Campaign < 0 {
+			return
 		}
-		s, ok := feed.Stat(dn)
-		if !ok {
-			continue
-		}
+		s, _ := feed.StatID(d)
 		items = append(items, item{
 			d: dn, program: l.Program, campaign: info.Campaign,
 			first: s.First.Add(-slack), last: s.Last.Add(slack),
 		})
-	}
+	})
 	rec := Reconstruction{Feed: feedName, Domains: len(items)}
 	if len(items) == 0 {
 		return rec

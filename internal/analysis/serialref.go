@@ -13,12 +13,22 @@ import (
 // them dumb and sequential — their value is being obviously correct
 // and stable while the fast paths evolve.
 
+// labelOf is the reference label lookup: by name, through the symbol
+// table's Find.
+func labelOf(ds *Dataset, d domain.Name) *Label {
+	id, ok := ds.World.Syms.Find(string(d))
+	if !ok {
+		return nil
+	}
+	return ds.Labels.Get(id)
+}
+
 // feedDomainsSerial is FeedDomains via the sorted Each walk, kept as
 // the reference set builder.
 func feedDomainsSerial(ds *Dataset, name string, class DomainClass) map[string]bool {
 	out := make(map[string]bool)
 	ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
-		if class.member(ds.Labels.Get(d)) {
+		if class.member(labelOf(ds, d)) {
 			out[string(d)] = true
 		}
 	})

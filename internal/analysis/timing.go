@@ -3,9 +3,9 @@ package analysis
 import (
 	"time"
 
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/stats"
+	"tasterschoice/internal/symtab"
 )
 
 // TimingRow is one feed's boxplot in Figures 9-12.
@@ -33,23 +33,24 @@ func Fig9Feeds(ds *Dataset) []string {
 var HoneypotFeeds = []string{"mx1", "mx2", "mx3", "Ac1", "Ac2"}
 
 // timingDomains returns the tagged domains present in every one of the
-// given feeds ("the intersection of the feeds").
-func timingDomains(ds *Dataset, feedNames []string) []domain.Name {
+// given feeds ("the intersection of the feeds"), in unspecified order:
+// each timing figure summarizes the sorted deltas.
+func timingDomains(ds *Dataset, feedNames []string) []symtab.ID {
 	if len(feedNames) == 0 {
 		return nil
 	}
-	tagged := FeedDomains(ds, feedNames[0], ClassTagged)
-	var out []domain.Name
-candidates:
-	for d := range tagged {
-		dn := domain.Name(d)
+	var out []symtab.ID
+	ds.Feed(feedNames[0]).EachIDUnordered(func(d symtab.ID, _ int64) {
+		if !ClassTagged.member(ds.Labels.Get(d)) {
+			return
+		}
 		for _, name := range feedNames[1:] {
-			if !ds.Feed(name).Has(dn) {
-				continue candidates
+			if !ds.Feed(name).HasID(d) {
+				return
 			}
 		}
-		out = append(out, dn)
-	}
+		out = append(out, d)
+	})
 	return out
 }
 
@@ -69,7 +70,7 @@ func FirstAppearance(ds *Dataset, feedNames []string) []TimingRow {
 			if !ok {
 				continue
 			}
-			s, ok := ds.Feed(name).Stat(d)
+			s, ok := ds.Feed(name).StatID(d)
 			if !ok {
 				continue
 			}
@@ -94,7 +95,7 @@ func LastAppearance(ds *Dataset, feedNames []string) []TimingRow {
 			if !ok {
 				continue
 			}
-			s, ok := ds.Feed(name).Stat(d)
+			s, ok := ds.Feed(name).StatID(d)
 			if !ok {
 				continue
 			}
@@ -122,7 +123,7 @@ func Duration(ds *Dataset, feedNames []string) []TimingRow {
 			if !ok1 || !ok2 {
 				continue
 			}
-			s, ok := ds.Feed(name).Stat(d)
+			s, ok := ds.Feed(name).StatID(d)
 			if !ok {
 				continue
 			}
@@ -136,11 +137,11 @@ func Duration(ds *Dataset, feedNames []string) []TimingRow {
 }
 
 // campaignStart is the earliest appearance of d across the given feeds.
-func campaignStart(ds *Dataset, feedNames []string, d domain.Name) (time.Time, bool) {
+func campaignStart(ds *Dataset, feedNames []string, d symtab.ID) (time.Time, bool) {
 	var start time.Time
 	found := false
 	for _, name := range feedNames {
-		if s, ok := ds.Feed(name).Stat(d); ok {
+		if s, ok := ds.Feed(name).StatID(d); ok {
 			if !found || s.First.Before(start) {
 				start = s.First
 				found = true
@@ -151,11 +152,11 @@ func campaignStart(ds *Dataset, feedNames []string, d domain.Name) (time.Time, b
 }
 
 // campaignEnd is the latest appearance of d across the given feeds.
-func campaignEnd(ds *Dataset, feedNames []string, d domain.Name) (time.Time, bool) {
+func campaignEnd(ds *Dataset, feedNames []string, d symtab.ID) (time.Time, bool) {
 	var end time.Time
 	found := false
 	for _, name := range feedNames {
-		if s, ok := ds.Feed(name).Stat(d); ok {
+		if s, ok := ds.Feed(name).StatID(d); ok {
 			if !found || s.Last.After(end) {
 				end = s.Last
 				found = true

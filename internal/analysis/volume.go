@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
-)
+import "tasterschoice/internal/symtab"
 
 // VolumeRow is one feed's bar in Figure 3: the share of incoming-mail
 // spam volume covered by the feed's live (or tagged) domains, plus the
@@ -26,61 +23,55 @@ type VolumeRow struct {
 // VolumeCoverage computes Figure 3. The live-plot denominator is the
 // oracle volume of the union of all live domains plus all feed-occurring
 // Alexa/ODP domains; the tagged plot restricts the benign side to
-// crawler-tagged benign domains.
+// crawler-tagged benign domains. Volumes are integer sums over domain
+// symbols, so visit order does not matter.
 func VolumeCoverage(ds *Dataset) []VolumeRow {
 	o := ds.Result.Oracle
-	vol := func(set map[string]bool) float64 {
-		var total int64
-		for d := range set {
-			total += o.Volume(domain.Name(d))
+	// volumes holds one feed's (or the union's) oracle volume per
+	// plotted set.
+	type volumes struct{ live, benign, tagged, benignTagged int64 }
+	add := func(v *volumes, d symtab.ID) {
+		l := ds.Labels.Get(d)
+		if l == nil {
+			return
 		}
-		return float64(total)
-	}
-	order := ds.Result.Order
-	liveSets := make([]map[string]bool, len(order))
-	taggedSets := make([]map[string]bool, len(order))
-	benignSets := make([]map[string]bool, len(order))       // all Alexa/ODP in feed
-	benignTaggedSets := make([]map[string]bool, len(order)) // tagged Alexa/ODP in feed
-	for i, name := range order {
-		liveSets[i] = FeedDomains(ds, name, ClassLive)
-		taggedSets[i] = FeedDomains(ds, name, ClassTagged)
-		benignSets[i] = make(map[string]bool)
-		benignTaggedSets[i] = make(map[string]bool)
-		ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {
-			l := ds.Labels.Get(d)
-			if l == nil || !l.Benignish() {
-				return
-			}
-			benignSets[i][string(d)] = true
+		c := o.VolumeID(d)
+		if l.Live() {
+			v.live += c
+		}
+		if l.TaggedClean() {
+			v.tagged += c
+		}
+		if l.Benignish() {
+			v.benign += c
 			if l.Tagged {
-				benignTaggedSets[i][string(d)] = true
-			}
-		})
-	}
-	unionOf := func(sets ...[]map[string]bool) map[string]bool {
-		u := make(map[string]bool)
-		for _, group := range sets {
-			for _, s := range group {
-				for d := range s {
-					u[d] = true
-				}
+				v.benignTagged += c
 			}
 		}
-		return u
 	}
-	liveTotal := vol(unionOf(liveSets, benignSets))
-	taggedTotal := vol(unionOf(taggedSets, benignTaggedSets))
+	// The union of feed domains is the labeled set; live and benign
+	// (tagged and benign-tagged) are disjoint, so the denominators are
+	// plain sums over it.
+	var all volumes
+	for _, d := range ds.Labels.syms {
+		add(&all, d)
+	}
+	liveTotal := float64(all.live + all.benign)
+	taggedTotal := float64(all.tagged + all.benignTagged)
 
+	order := ds.Result.Order
 	out := make([]VolumeRow, len(order))
 	for i, name := range order {
+		var v volumes
+		ds.Feed(name).EachIDUnordered(func(d symtab.ID, _ int64) { add(&v, d) })
 		row := VolumeRow{Name: name}
 		if liveTotal > 0 {
-			row.LivePct = vol(liveSets[i]) / liveTotal
-			row.LiveBenignPct = vol(benignSets[i]) / liveTotal
+			row.LivePct = float64(v.live) / liveTotal
+			row.LiveBenignPct = float64(v.benign) / liveTotal
 		}
 		if taggedTotal > 0 {
-			row.TaggedPct = vol(taggedSets[i]) / taggedTotal
-			row.TaggedBenignPct = vol(benignTaggedSets[i]) / taggedTotal
+			row.TaggedPct = float64(v.tagged) / taggedTotal
+			row.TaggedBenignPct = float64(v.benignTagged) / taggedTotal
 		}
 		out[i] = row
 	}

@@ -181,8 +181,12 @@ func TestDistSweepDuplicateMismatchFatal(t *testing.T) {
 	// seed 1, steals seed 0, and delivers *different* bytes for it.
 	release := make(chan struct{})
 	var once sync.Once
+	// entered is closed once worker A is inside seed 0.
+	entered := make(chan struct{})
+	var enterOnce sync.Once
 	slowRun := func(i int, seed uint64) (map[string]float64, error) {
 		if i == 0 {
+			enterOnce.Do(func() { close(entered) })
 			<-release
 			return fakeMetrics(0), nil
 		}
@@ -200,6 +204,14 @@ func TestDistSweepDuplicateMismatchFatal(t *testing.T) {
 	slow := fastWorker(addr.String(), "slow", slowRun)
 	errA := make(chan error, 1)
 	go func() { errA <- slow.Run(ctx) }()
+	// The coordinator leases the lowest free seed to whichever worker
+	// asks first, so the thief starts only once A holds seed 0;
+	// otherwise the thief could take seed 0 and leave A seed 1.
+	select {
+	case <-entered:
+	case <-ctx.Done():
+		t.Fatal("slow worker never started seed 0")
+	}
 	thief := fastWorker(addr.String(), "thief", divergentRun)
 	errB := make(chan error, 1)
 	go func() { errB <- thief.Run(ctx) }()

@@ -150,15 +150,16 @@ func (t *Table) Find(s string) (ID, bool) {
 // only be called from serial code.
 func (t *Table) AutoURL(id ID) ID {
 	t.mu.Lock()
-	if int(id) < len(t.auto) {
-		if u := t.auto[id]; u != 0 {
-			t.mu.Unlock()
-			return u
-		}
-	} else {
-		grown := make([]ID, t.n.Load())
+	if int(id) >= len(t.auto) {
+		// Grow geometrically: callers that derive a URL for every
+		// fresh symbol would otherwise copy the whole cache per call.
+		grown := make([]ID, max(int(t.n.Load()), 2*len(t.auto)))
 		copy(grown, t.auto)
 		t.auto = grown
+	}
+	if u := t.auto[id]; u != 0 {
+		t.mu.Unlock()
+		return u
 	}
 	s := t.lookupLocked(id)
 	buf := make([]byte, 0, len("http://")+len(s)+1)

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -80,6 +81,34 @@ func TestAutoURL(t *testing.T) {
 	// must return the same ID.
 	if got := tab.Intern("http://cheappills.com/"); got != u {
 		t.Fatalf("Intern of derived URL = %d, want %d", got, u)
+	}
+}
+
+// TestAutoURLScalesLinearly derives a URL for every fresh symbol, the
+// pattern of the engine's poison phase, and checks that the heap bytes
+// allocated per call stay flat as the table grows eightfold. A cache
+// regrown to exactly Len on each call allocates in proportion to the
+// table size, so the per-call bytes would grow about eightfold too.
+func TestAutoURLScalesLinearly(t *testing.T) {
+	perCall := func(n int) float64 {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("fresh-%d.com", i)
+		}
+		tab := New()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, s := range names {
+			tab.AutoURL(tab.Intern(s))
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	const n = 2048
+	small, large := perCall(n), perCall(8*n)
+	if large > 2*small {
+		t.Fatalf("AutoURL allocates %.0f B/call at %d symbols but %.0f B/call at %d",
+			small, n, large, 8*n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"tasterschoice/internal/analysis"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/mailflow"
+	"tasterschoice/internal/symtab"
 	"tasterschoice/internal/webcrawl"
 )
 
@@ -57,19 +58,26 @@ func TestHTTPLabeledDatasetMatchesSimulated(t *testing.T) {
 	if simulated.Len() != overHTTP.Len() {
 		t.Fatalf("label counts differ: %d vs %d", simulated.Len(), overHTTP.Len())
 	}
-	ds := &analysis.Dataset{World: world, Result: res, Labels: simulated}
 	mismatches := 0
-	for _, d := range ds.Union() {
-		a := simulated.Get(d)
-		b := overHTTP.Get(d)
-		if a.HTTP != b.HTTP || a.Tagged != b.Tagged ||
-			a.Program != b.Program || a.AffiliateKey != b.AffiliateKey ||
-			a.DNS != b.DNS || a.Alexa != b.Alexa || a.ODP != b.ODP {
-			mismatches++
-			if mismatches <= 5 {
-				t.Errorf("label mismatch for %s:\n  sim:  %+v\n  http: %+v", d, a, b)
+	seen := make(map[symtab.ID]bool)
+	for _, name := range res.Order {
+		res.Feed(name).EachIDUnordered(func(d symtab.ID, _ int64) {
+			if seen[d] {
+				return
 			}
-		}
+			seen[d] = true
+			a := simulated.Get(d)
+			b := overHTTP.Get(d)
+			if a.HTTP != b.HTTP || a.Tagged != b.Tagged ||
+				a.Program != b.Program || a.AffiliateKey != b.AffiliateKey ||
+				a.DNS != b.DNS || a.Alexa != b.Alexa || a.ODP != b.ODP {
+				mismatches++
+				if mismatches <= 5 {
+					t.Errorf("label mismatch for %s:\n  sim:  %+v\n  http: %+v",
+						world.Syms.Lookup(d), a, b)
+				}
+			}
+		})
 	}
 	if mismatches > 0 {
 		t.Fatalf("%d of %d labels differ", mismatches, simulated.Len())

@@ -9,6 +9,8 @@ package tasterschoice
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,4 +122,28 @@ func TestReproductionGate(t *testing.T) {
 			}
 		}
 	})
+}
+
+// defaultReport2010 is the SHA-256 of the full report for the default
+// (paper-scale) scenario with seed 2010, the run the README documents.
+const defaultReport2010 = "7b165e4bc003f82072897548b7ed0a8c70c160aef9a95cd501cf3b883596e082"
+
+// TestDefaultReportDigest pins the paper-scale report byte for byte:
+// a change to generation, collection, labeling, the analyses or the
+// renderers that moves any report byte at the default scale fails it.
+func TestDefaultReportDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale pipeline run; skipped with -short")
+	}
+	ds, err := simulate.Default(2010).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := core.NewStudy(ds).WriteReport(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != defaultReport2010 {
+		t.Fatalf("default-scale report digest = %s, want %s", got, defaultReport2010)
+	}
 }
