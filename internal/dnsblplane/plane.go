@@ -6,25 +6,27 @@
 // traffic:
 //
 //   - Sharding. Each zone's listings are split across a power-of-two
-//     number of shards by FNV-1a over the domain name. The same hash
-//     runs on the write path (over the interned symbol) and the read
-//     path (over the normalized query bytes), so both sides agree on
-//     placement without coordination.
+//     number of shards by the low bits of a 64-bit FNV-1a hash of the
+//     domain name. The same hash runs on the write path (over the
+//     record's name) and the read path (over the normalized query
+//     bytes), so both sides agree on placement without coordination.
 //
-//   - RCU snapshot swap. A shard's index is an immutable map published
-//     through one atomic pointer. Readers load the pointer once and
-//     answer from that consistent view; hot-reload deltas build a copy
-//     and swap it in whole. A query can race a reload and see the old
-//     world or the new one — never a torn middle.
+//   - RCU snapshot swap. A shard's index is an immutable snapshot, an
+//     array of small hash tables (buckets) picked by the hash's high
+//     bits, published through one atomic pointer. Readers load the
+//     pointer once and answer from that consistent view. A hot-reload
+//     delta copies only the buckets its names land in, shares the rest
+//     with the previous snapshot, and publishes the result with one
+//     pointer store. A query can race a reload and see the old world
+//     or the new one — never a torn middle.
 //
 //   - Negative-answer caching. Repeated misses (the dominant traffic
 //     in junk-domain floods) return a cached packed NXDOMAIN, validated
 //     against the shard generation so a reload invalidates every
 //     cached miss instantly.
 //
-//   - Interned symbols. Domain names are interned once into the
-//     plane's symtab; every snapshot generation keys on the same
-//     backing strings, and entries carry dense IDs, not copies.
+//   - ASCII-only case folding. Every path folds names the way RFC 4343
+//     compares them: the ASCII letters and nothing else.
 //
 // Determinism contract: the plane is engine-tier. All time comes from
 // the injected overload.Clock, all randomness from seeded randutil,
@@ -47,7 +49,6 @@ import (
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/overload"
-	"tasterschoice/internal/symtab"
 )
 
 // Errors returned by plane configuration and reload.
@@ -162,6 +163,17 @@ func (z *zone) feedName(i uint16) string {
 	return ""
 }
 
+// find looks a folded name (zone suffix stripped) up in its shard's
+// current snapshot, returning that shard and snapshot with the result.
+// It is the one lookup behind the fast path, the slow path and Lookup.
+func (z *zone) find(name []byte) (*shard, *snapshot, entry, bool) {
+	h := hashName(name)
+	sh := z.shards[uint32(h)&z.mask]
+	snap := sh.load()
+	e, ok := snap.get(h, name)
+	return sh, snap, e, ok
+}
+
 // Plane is the multi-zone sharded DNSBL index plus its query handler.
 // Lookups are lock-free; reloads apply per shard with one atomic
 // snapshot swap each. Create with New, then serve it with a Server or
@@ -172,7 +184,6 @@ type Plane struct {
 	ttl    uint32
 	negTTL time.Duration
 	clock  overload.Clock
-	syms   *symtab.Table
 
 	// Metrics observes the plane; the zero value is inert. Set before
 	// serving.
@@ -210,13 +221,12 @@ func New(cfg Config) (*Plane, error) {
 		ttl:    ttl,
 		negTTL: negTTL,
 		clock:  cfg.Clock,
-		syms:   symtab.New(),
 	}
 	if p.clock == nil {
 		p.clock = overload.WallClock
 	}
 	for _, zc := range cfg.Zones {
-		suffix := strings.ToLower(strings.TrimSuffix(zc.Suffix, "."))
+		suffix := foldName(strings.TrimSuffix(zc.Suffix, "."))
 		if suffix == "" {
 			return nil, fmt.Errorf("dnsblplane: empty zone suffix")
 		}
@@ -267,7 +277,7 @@ func (p *Plane) TTL() uint32 { return p.ttl }
 
 // zoneFor returns the zone serving the given suffix.
 func (p *Plane) zoneFor(suffix string) (*zone, error) {
-	z := p.byName[strings.ToLower(strings.TrimSuffix(suffix, "."))]
+	z := p.byName[foldName(strings.TrimSuffix(suffix, "."))]
 	if z == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownZone, suffix)
 	}
@@ -277,45 +287,36 @@ func (p *Plane) zoneFor(suffix string) (*zone, error) {
 // Apply publishes a batch of listing records into a zone. Records are
 // grouped per shard and each shard's additions land in one atomic
 // snapshot swap, so concurrent readers observe each record completely
-// or not at all. Earliest listing wins: re-applying a domain keeps
-// whichever record has the earlier first-seen time, converging with
-// feeds.Feed's min-time dedup regardless of arrival order. Safe for
-// concurrent use with queries and with other Apply calls.
+// or not at all. A batch costs what it touches: each shard copies only
+// the buckets its records land in. Earliest listing wins: re-applying
+// a domain keeps whichever record has the earlier first-seen time,
+// converging with feeds.Feed's min-time dedup regardless of arrival
+// order. The index keeps a name that is already folded as the
+// caller's string, without copying it. Safe for concurrent use with
+// queries and with other Apply calls.
 func (p *Plane) Apply(zoneSuffix string, recs []Record) error {
 	z, err := p.zoneFor(zoneSuffix)
 	if err != nil {
 		return err
 	}
-	// Group the batch per shard; tiny batches skip the allocation by
-	// applying directly.
-	type group struct {
-		names []string
-		adds  []entry
-	}
-	groups := make(map[uint32]*group)
+	// Fold and hash each name once, then group the batch per shard.
+	batch := make([]pending, 0, len(recs))
 	for _, rec := range recs {
-		name := strings.ToLower(strings.TrimSuffix(rec.Domain, "."))
+		name := foldName(strings.TrimSuffix(rec.Domain, "."))
 		if name == "" {
 			continue
 		}
-		// Intern once; every snapshot generation shares this backing
-		// string, and the entry row stays two words.
-		id := p.syms.Intern(name)
-		interned := p.syms.Lookup(id)
-		si := shardOf([]byte(interned), z.mask)
-		g := groups[si]
-		if g == nil {
-			g = &group{}
-			groups[si] = g
-		}
-		g.names = append(g.names, interned)
-		g.adds = append(g.adds, entry{
-			firstUnix: rec.First.Unix(),
-			feed:      z.feedIndex(rec.Feed),
+		batch = append(batch, pending{
+			name: name,
+			h:    hashName(name),
+			e:    entry{firstUnix: rec.First.Unix(), feed: z.feedIndex(rec.Feed)},
 		})
 	}
-	for si, g := range groups {
-		z.shards[si].apply(g.names, g.adds)
+	grouped := make([]pending, len(batch))
+	start := groupBy(grouped, batch, 0, z.mask)
+	for si, sh := range z.shards {
+		// The arrival-order copy is free now; it is the shard's scratch.
+		sh.apply(grouped[start[si]:start[si+1]], batch[start[si]:start[si+1]])
 	}
 	p.Metrics.ReloadBatches.Inc()
 	p.Metrics.ReloadRecords.Add(int64(len(recs)))
@@ -344,9 +345,7 @@ func (p *Plane) Lookup(zoneSuffix, domain string) (listed bool, first time.Time,
 	if err != nil {
 		return false, time.Time{}, "", err
 	}
-	name := strings.ToLower(strings.TrimSuffix(domain, "."))
-	snap := z.shards[shardOf([]byte(name), z.mask)].load()
-	e, ok := snap.entries[name]
+	_, _, e, ok := z.find([]byte(foldName(strings.TrimSuffix(domain, "."))))
 	if !ok {
 		return false, time.Time{}, "", nil
 	}
@@ -362,7 +361,7 @@ func (p *Plane) Listed(zoneSuffix string) (int, error) {
 	}
 	total := 0
 	for _, sh := range z.shards {
-		total += len(sh.load().entries)
+		total += sh.load().n
 	}
 	return total, nil
 }
@@ -418,9 +417,17 @@ func (r *Responder) Respond(dst []byte, raw []byte) []byte {
 	if !ok {
 		return r.slowOrDrop(dst, raw)
 	}
+	return r.answer(dst, raw, qEnd, r.name[:nameLen])
+}
+
+// answer builds the response to a query whose one question is
+// uncompressed and ends at qEnd; name is the question's folded dotted
+// name. It serves the fast path and, once the question is
+// decompressed, the slow path.
+func (r *Responder) answer(dst, raw []byte, qEnd int, name []byte) []byte {
+	p := r.p
 	qtype := binary.BigEndian.Uint16(raw[qEnd-4:])
 	qclass := binary.BigEndian.Uint16(raw[qEnd-2:])
-	name := r.name[:nameLen]
 
 	// Zone match: longest-suffix scan over the (few) served zones.
 	var z *zone
@@ -459,9 +466,7 @@ func (r *Responder) Respond(dst []byte, raw []byte) []byte {
 		return appendEcho(dst, raw, qEnd, dnsbl.RCodeNXDomain)
 	}
 	domain := name[:len(name)-len(z.dotSuffix)]
-	sh := z.shards[shardOf(domain, z.mask)]
-	snap := sh.load()
-	e, listed := snap.entries[string(domain)]
+	sh, snap, e, listed := z.find(domain)
 	if !listed {
 		// Negative path: serve and feed the per-shard NXDOMAIN cache,
 		// keyed on the exact wire question so the echoed bytes always
@@ -531,10 +536,7 @@ func (r *Responder) parseQuestion(raw []byte) (nameLen, qEnd int, ok bool) {
 			w++
 		}
 		for _, c := range raw[i+1 : i+1+l] {
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			r.name[w] = c
+			r.name[w] = lowerASCII(c)
 			w++
 		}
 		i += 1 + l

@@ -13,12 +13,15 @@ import (
 
 // TestHotReloadRace is the RCU torture test: 8 reader goroutines
 // hammer queries while a writer applies feedsync-style deltas that
-// swap shard snapshots underneath them. Run under -race it proves the
-// lock-free read path; the assertions prove the swap is never torn:
+// swap shard snapshots underneath them. The zone starts empty and ends
+// with 640 names per shard, so every shard's fan-out doubles from one
+// bucket to sixteen mid-run: the readers race both the bucket-copying
+// path and the full rebuild. Run under -race it proves the lock-free
+// read path; the assertions prove the swap is never torn:
 //
 //   - Atomicity. Each delta batch is crafted so all its domains land in
-//     one shard; a snapshot loaded mid-run must contain a batch
-//     completely or not at all.
+//     one shard, spread over its buckets; a snapshot loaded mid-run
+//     must contain a batch completely or not at all.
 //   - Monotonicity. Listings only accumulate, so once a reader has seen
 //     a domain listed it must never be answered NXDOMAIN again.
 //   - Validity. Every response is a well-formed NOERROR or NXDOMAIN for
@@ -30,10 +33,10 @@ func TestHotReloadRace(t *testing.T) {
 	}
 	z := p.zones[0]
 
-	// Build 64 delta batches of 8 domains each, every batch confined to
+	// Build 64 delta batches of 40 domains each, every batch confined to
 	// one shard so readers can assert all-or-nothing visibility.
-	const batches = 32
-	const perBatch = 4
+	const batches = 64
+	const perBatch = 40
 	batch := make([][]Record, batches)
 	names := make([]string, 0, batches*perBatch)
 	for b := 0; b < batches; b++ {
@@ -41,7 +44,7 @@ func TestHotReloadRace(t *testing.T) {
 		for len(batch[b]) < perBatch {
 			name := fmt.Sprintf("dom-%d-%d.example", b, len(names))
 			names = append(names, name)
-			if shardOf([]byte(name), z.mask) != shard {
+			if uint32(hashName(name))&z.mask != shard {
 				continue // name for some other batch's shard; just skip it
 			}
 			batch[b] = append(batch[b], Record{
@@ -128,11 +131,11 @@ func TestHotReloadRace(t *testing.T) {
 		defer wg.Done()
 		for {
 			for b := 0; b < batches; b++ {
-				si := shardOf([]byte(batch[b][0].Domain), z.mask)
+				si := uint32(hashName(batch[b][0].Domain)) & z.mask
 				snap := z.shards[si].load()
 				present := 0
 				for _, rec := range batch[b] {
-					if _, ok := snap.entries[rec.Domain]; ok {
+					if _, ok := snap.get(hashName(rec.Domain), []byte(rec.Domain)); ok {
 						present++
 					}
 				}
@@ -166,6 +169,11 @@ func TestHotReloadRace(t *testing.T) {
 	}
 	if total != want {
 		t.Fatalf("listed %d domains after all deltas, want %d", total, want)
+	}
+	for si, sh := range z.shards {
+		if nb := len(sh.load().buckets); nb < 2 {
+			t.Fatalf("shard %d ended with %d bucket(s); the run never raced a fan-out doubling", si, nb)
+		}
 	}
 	for b := range batch {
 		for _, rec := range batch[b] {

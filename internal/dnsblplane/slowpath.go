@@ -1,8 +1,7 @@
 package dnsblplane
 
 import (
-	"strings"
-	"time"
+	"encoding/binary"
 
 	"tasterschoice/internal/dnsbl"
 )
@@ -18,71 +17,56 @@ func (r *Responder) slowOrDrop(dst, raw []byte) []byte {
 
 // slow answers the query shapes the wire fast path refuses to guess
 // at — multiple questions, non-query opcodes, compression pointers or
-// malformed labels in the question name — through the full
-// internal/dnsbl codec, reproducing the single-feed server's semantics
-// (including mustPack's degrade-to-bare-FORMERR behaviour) exactly.
-// These shapes are rare on a healthy wire, so allocating here is fine.
+// names too long for its buffer — after a full parse by the
+// internal/dnsbl codec. A query the codec rejects is dropped. One with
+// a single question is answered as the fast path answers the same
+// question sent uncompressed. Any other shape gets the single-feed
+// server's FORMERR, including mustPack's degrade-to-bare-FORMERR
+// behaviour. These shapes are rare on a healthy wire, so allocating
+// here is fine.
 func (r *Responder) slow(dst, raw []byte) []byte {
-	p := r.p
 	query, err := dnsbl.Unpack(raw)
 	if err != nil || query.Header.Response {
 		return nil // not a query we can answer; drop
 	}
-	resp := &dnsbl.Message{
-		Header: dnsbl.Header{
-			ID:               query.Header.ID,
-			Response:         true,
-			Opcode:           query.Header.Opcode,
-			Authoritative:    true,
-			RecursionDesired: query.Header.RecursionDesired,
-		},
-		Questions: query.Questions,
-	}
 	if len(query.Questions) != 1 || query.Header.Opcode != 0 {
-		resp.Header.RCode = dnsbl.RCodeFormErr
+		resp := &dnsbl.Message{
+			Header: dnsbl.Header{
+				ID:               query.Header.ID,
+				Response:         true,
+				Opcode:           query.Header.Opcode,
+				Authoritative:    true,
+				RecursionDesired: query.Header.RecursionDesired,
+				RCode:            dnsbl.RCodeFormErr,
+			},
+			Questions: query.Questions,
+		}
 		return appendPack(dst, resp)
 	}
 	q := query.Questions[0]
-	name := strings.ToLower(strings.TrimSuffix(q.Name, "."))
-	var z *zone
-	for _, cand := range p.zones {
-		if len(name) > len(cand.dotSuffix) && strings.HasSuffix(name, string(cand.dotSuffix)) {
-			if z == nil || len(cand.dotSuffix) > len(z.dotSuffix) {
-				z = cand
-			}
+	flat := appendFlatName(append([]byte(nil), raw[:12]...), raw, 12)
+	flat = binary.BigEndian.AppendUint16(flat, q.Type)
+	flat = binary.BigEndian.AppendUint16(flat, q.Class)
+	return r.answer(dst, flat, len(flat), []byte(foldName(q.Name)))
+}
+
+// appendFlatName appends the name at raw[off:] in uncompressed wire
+// form, following its compression pointers, so every label keeps its
+// exact bytes. raw must have passed dnsbl.Unpack, which walks the same
+// path and bounds it.
+func appendFlatName(dst, raw []byte, off int) []byte {
+	for {
+		l := int(raw[off])
+		switch {
+		case l == 0:
+			return append(dst, 0)
+		case l&0xc0 == 0xc0:
+			off = (l&0x3f)<<8 | int(raw[off+1])
+		default:
+			dst = append(dst, raw[off:off+1+l]...)
+			off += 1 + l
 		}
 	}
-	if z == nil {
-		resp.Header.RCode = dnsbl.RCodeRefused
-		return appendPack(dst, resp)
-	}
-	if q.Class != dnsbl.ClassIN {
-		resp.Header.RCode = dnsbl.RCodeNXDomain
-		return appendPack(dst, resp)
-	}
-	queried := name[:len(name)-len(z.dotSuffix)]
-	snap := z.shards[shardOf([]byte(queried), z.mask)].load()
-	e, listed := snap.entries[queried]
-	if !listed {
-		resp.Header.RCode = dnsbl.RCodeNXDomain
-		return appendPack(dst, resp)
-	}
-	p.Metrics.Hits.Inc()
-	switch q.Type {
-	case dnsbl.TypeA:
-		resp.Answers = append(resp.Answers, dnsbl.ARecord(q.Name, z.ttl,
-			dnsbl.ListedAddress[0], dnsbl.ListedAddress[1], dnsbl.ListedAddress[2], dnsbl.ListedAddress[3]))
-	case dnsbl.TypeTXT:
-		reason := "listed"
-		if feed := z.feedName(e.feed); feed != "" {
-			reason = "listed " + time.Unix(e.firstUnix, 0).UTC().Format(time.RFC3339) + " by " + feed
-		}
-		resp.Answers = append(resp.Answers, dnsbl.TXTRecord(q.Name, z.ttl, reason))
-	default:
-		// Listed, but no data of the requested type: NOERROR with an
-		// empty answer section.
-	}
-	return appendPack(dst, resp)
 }
 
 // appendPack serializes a response onto dst, degrading like the legacy

@@ -475,19 +475,32 @@ func TestChaosOverloadFeedsyncSlowReaderFanout(t *testing.T) {
 		}
 	}
 
-	// Four slow readers, each with its own seeded stall profile.
+	// Four slow readers, each with its own seeded stall profile. A slow
+	// reader's first successful Read closes its served channel: the
+	// server writes only to a connection it has accepted and registered,
+	// so from then on a drain must flush that subscriber.
 	var wg sync.WaitGroup
 	slowOffsets := make([]int64, 4)
+	served := make([]chan struct{}, 4)
 	for w := 0; w < 4; w++ {
+		served[w] = make(chan struct{})
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			cl := feedsync.NewClient(addr.String())
-			cl.Dial = faultnet.New(faultnet.Faults{
+			faults := faultnet.New(faultnet.Faults{
 				Seed:          uint64(100 + w),
 				ReadStallProb: 0.5,
 				ReadStall:     2 * time.Millisecond,
-			}).Dial
+			})
+			var once sync.Once
+			cl.Dial = func(network, address string) (net.Conn, error) {
+				c, err := faults.Dial(network, address)
+				if err != nil {
+					return nil, err
+				}
+				return &firstReadConn{Conn: c, once: &once, read: served[w]}, nil
+			}
 			dst := feeds.New("uribl", feeds.KindBlacklist, false, false)
 			//lint:allow wallclock -- chaos test syncs over a faulty real socket; wall time is the harness's, not the engine's
 			off, err := cl.Sync("uribl", 0, dst)
@@ -515,9 +528,21 @@ func TestChaosOverloadFeedsyncSlowReaderFanout(t *testing.T) {
 	}
 
 	// Drain while the slow readers are still mid-crawl: the drain
-	// contract flushes their streams to completion anyway.
+	// contract flushes their streams to completion anyway. Shutdown
+	// closes the listener, so it waits until the server has served
+	// every slow reader: one not yet accepted would be refused or reset,
+	// not drained.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	for w, ch := range served {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			srv.Close()
+			wg.Wait() // the subscribers report through t before it ends
+			t.Fatalf("slow subscriber %d was never served before the drain deadline", w)
+		}
+	}
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown with stalling subscribers in flight: %v", err)
 	}
@@ -527,4 +552,20 @@ func TestChaosOverloadFeedsyncSlowReaderFanout(t *testing.T) {
 			t.Fatalf("slow subscriber %d offset = %d, want %d", w, off, n)
 		}
 	}
+}
+
+// firstReadConn closes read, once across every connection sharing
+// once, when a Read first returns data.
+type firstReadConn struct {
+	net.Conn
+	once *sync.Once
+	read chan struct{}
+}
+
+func (c *firstReadConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if n > 0 {
+		c.once.Do(func() { close(c.read) })
+	}
+	return n, err
 }
