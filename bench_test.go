@@ -1,9 +1,12 @@
 package tasterschoice
 
-// The benchmark harness regenerates every table and figure in the
-// paper's evaluation (Tables 1-3, Figures 1-12) against the default
-// scenario, and measures the ablations called out in DESIGN.md. Run
-// with -v to also print each reproduced table/figure once.
+// These go test benchmarks regenerate every table and figure in the
+// paper's evaluation (Tables 1-3, Figures 1-12) from one warm
+// default-scale dataset, and measure the ablations called out in
+// DESIGN.md. Run with -v to also print each reproduced table/figure
+// once. They are for profiling one step in isolation; the repo's
+// end-to-end benchmark, which times cold runs, is perfbench/ (see
+// perfbench/README.md).
 
 import (
 	"fmt"
@@ -12,7 +15,6 @@ import (
 	"testing"
 
 	"tasterschoice/internal/analysis"
-	"tasterschoice/internal/benchref"
 	"tasterschoice/internal/core"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/mailflow"
@@ -229,58 +231,14 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	}
 }
 
-// --- Parallel vs pinned serial references --------------------------
-//
-// The *SerialRef benchmarks run the frozen serial implementations
-// (analysis/serialref.go, internal/benchref) against the same inputs
-// as their parallel counterparts above, so `-bench 'Table3|SerialRef'`
-// shows the speedup inline. cmd/bench automates the comparison and
-// tracks it against BENCH_baseline.json.
-
-func BenchmarkTable3CoverageSerialRef(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.CoverageSerial(ds, analysis.ClassAll)
-		analysis.CoverageSerial(ds, analysis.ClassLive)
-		analysis.CoverageSerial(ds, analysis.ClassTagged)
-	}
-}
-
-func BenchmarkTable2PuritySerialRef(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.PuritySerial(ds)
-	}
-}
-
-func BenchmarkFigure2PairwiseIntersectionSerialRef(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.IntersectionsSerial(ds, analysis.ClassLive)
-		analysis.IntersectionsSerial(ds, analysis.ClassTagged)
-	}
-}
-
+// BenchmarkCollectionEngine times the mailflow engine alone over the
+// warm default-scale world.
 func BenchmarkCollectionEngine(b *testing.B) {
 	ds := benchDataset(b)
 	cfg := simulate.Default(2010).Collection
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mailflow.New(ds.World, cfg).Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCollectionEngineSerialRef(b *testing.B) {
-	ds := benchDataset(b)
-	cfg := simulate.Default(2010).Collection
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := benchref.New(ds.World, cfg).Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -334,6 +334,41 @@ func TestProportionalityMatrices(t *testing.T) {
 	}
 }
 
+// TestMailDistRestrictsSupport checks the Mail column's support. The
+// oracle counts every domain in incoming mail, benign ones included;
+// the column keeps exactly the tagged domains some feed saw with a
+// nonzero oracle count, each weighted by its count over the kept
+// domains' total.
+func TestMailDistRestrictsSupport(t *testing.T) {
+	ds := testDataset(t)
+	o := ds.Result.Oracle
+	mail := mailTaggedDist(ds)
+	var kept int64
+	for _, d := range ds.Labels.syms {
+		if c := o.VolumeID(d); c > 0 && ClassTagged.member(ds.Labels.Get(d)) {
+			kept += c
+			if _, ok := mail[ds.name(d)]; !ok {
+				t.Errorf("tagged feed domain %s (oracle count %d) missing from the Mail column", ds.name(d), c)
+			}
+		}
+	}
+	if len(mail) == 0 || kept == 0 {
+		t.Fatal("empty Mail column")
+	}
+	if kept >= o.Total() {
+		t.Fatalf("kept volume %d of oracle total %d: nothing was restricted", kept, o.Total())
+	}
+	for name, p := range mail {
+		id, ok := ds.World.Syms.Find(name)
+		if !ok || !ClassTagged.member(ds.Labels.Get(id)) {
+			t.Fatalf("Mail column holds %s, which is no tagged feed domain", name)
+		}
+		if want := float64(o.VolumeID(id)) / float64(kept); math.Abs(p-want) > 1e-12 {
+			t.Errorf("Mail p(%s) = %g, want %g", name, p, want)
+		}
+	}
+}
+
 func TestTimingRows(t *testing.T) {
 	ds := testDataset(t)
 	fig9 := FirstAppearance(ds, Fig9Feeds(ds))

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"tasterschoice/internal/domain"
-	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/stats"
 )
@@ -29,7 +27,8 @@ type PurityRow struct {
 
 // Purity computes Table 2, one feed row per worker. The per-feed
 // indicator sums walk the interned index's label array instead of
-// hashing domain strings; PuritySerial is the pinned reference.
+// hashing domain strings; PuritySerial (serialref_test.go) is the
+// reference the golden tests compare against.
 func Purity(ds *Dataset) []PurityRow {
 	order := ds.Result.Order
 	ix := ds.Index()
@@ -73,46 +72,4 @@ func Purity(ds *Dataset) []PurityRow {
 		}
 	})
 	return out
-}
-
-// purityRow computes one feed's Table 2 row the original way — a
-// sorted walk with per-domain label lookups — for the serial
-// reference.
-func purityRow(ds *Dataset, name string) PurityRow {
-	f := ds.Feed(name)
-	var covered, dns, http, tagged, odp, alexa, total int
-	f.Each(func(d domain.Name, _ feeds.DomainStat) {
-		l := labelOf(ds, d)
-		if l == nil {
-			return
-		}
-		total++
-		if l.InZoneTLD {
-			covered++
-			if l.DNS {
-				dns++
-			}
-		}
-		if l.HTTP {
-			http++
-		}
-		if l.Tagged {
-			tagged++
-		}
-		if l.ODP {
-			odp++
-		}
-		if l.Alexa {
-			alexa++
-		}
-	})
-	return PurityRow{
-		Name:    name,
-		DNS:     stats.Fraction(dns, covered),
-		Covered: stats.Fraction(covered, total),
-		HTTP:    stats.Fraction(http, total),
-		Tagged:  stats.Fraction(tagged, total),
-		ODP:     stats.Fraction(odp, total),
-		Alexa:   stats.Fraction(alexa, total),
-	}
 }

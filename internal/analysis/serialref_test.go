@@ -9,9 +9,8 @@ import (
 // This file pins the original single-threaded map-based table
 // computations. They are the reference implementations: the golden
 // determinism tests assert the indexed/parallel paths produce
-// identical rows, and cmd/bench measures speedup against them. Keep
-// them dumb and sequential — their value is being obviously correct
-// and stable while the fast paths evolve.
+// identical rows. Keep them dumb and sequential — their value is
+// being obviously correct and stable while the fast paths evolve.
 
 // labelOf is the reference label lookup: by name, through the symbol
 // table's Find.
@@ -122,4 +121,46 @@ func PuritySerial(ds *Dataset) []PurityRow {
 		out = append(out, purityRow(ds, name))
 	}
 	return out
+}
+
+// purityRow computes one feed's Table 2 row the original way — a
+// sorted walk with per-domain label lookups — for the serial
+// reference.
+func purityRow(ds *Dataset, name string) PurityRow {
+	f := ds.Feed(name)
+	var covered, dns, http, tagged, odp, alexa, total int
+	f.Each(func(d domain.Name, _ feeds.DomainStat) {
+		l := labelOf(ds, d)
+		if l == nil {
+			return
+		}
+		total++
+		if l.InZoneTLD {
+			covered++
+			if l.DNS {
+				dns++
+			}
+		}
+		if l.HTTP {
+			http++
+		}
+		if l.Tagged {
+			tagged++
+		}
+		if l.ODP {
+			odp++
+		}
+		if l.Alexa {
+			alexa++
+		}
+	})
+	return PurityRow{
+		Name:    name,
+		DNS:     stats.Fraction(dns, covered),
+		Covered: stats.Fraction(covered, total),
+		HTTP:    stats.Fraction(http, total),
+		Tagged:  stats.Fraction(tagged, total),
+		ODP:     stats.Fraction(odp, total),
+		Alexa:   stats.Fraction(alexa, total),
+	}
 }

@@ -48,9 +48,9 @@ func BenchmarkRespond(b *testing.B) {
 	_ = out
 }
 
-// BenchmarkLegacyHandle is the single-zone baseline the plane's
-// speedup is committed against (cmd/bench dnsbl_handle): the legacy
-// codec Unpacks and Packs every query.
+// BenchmarkLegacyHandle times the legacy single-zone server over the
+// same queries, for comparison with BenchmarkRespond: the legacy codec
+// Unpacks and Packs every query.
 func BenchmarkLegacyHandle(b *testing.B) {
 	srv := dnsbl.NewServer("dbl.test", dnsbl.FeedZone{Feed: testFeed("dbl", 32)})
 	qs := benchQueries(64)

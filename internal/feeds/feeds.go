@@ -384,17 +384,10 @@ func (f *Feed) EachIDUnordered(fn func(d symtab.ID, count int64)) {
 	}
 }
 
-// Retain drops every domain for which keep returns false, returning the
-// number removed. The paper applies this to blacklist feeds, keeping
-// only entries that co-occur in a base feed (blacklist-only domains
-// could not be crawled).
-func (f *Feed) Retain(keep func(d domain.Name) bool) int {
-	return f.RetainID(func(d symtab.ID) bool {
-		return keep(domain.Name(f.syms.Lookup(d)))
-	})
-}
-
-// RetainID is the hot-path form of Retain: keep receives interned IDs.
+// RetainID drops every domain for which keep returns false, returning
+// the number removed; keep receives interned IDs. The paper applies
+// this to blacklist feeds, keeping only entries that co-occur in a
+// base feed (blacklist-only domains could not be crawled).
 func (f *Feed) RetainID(keep func(d symtab.ID) bool) int {
 	kept := f.rows[:0]
 	removed := 0

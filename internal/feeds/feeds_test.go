@@ -1,11 +1,13 @@
 package feeds
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/symtab"
 )
 
 var (
@@ -100,7 +102,8 @@ func TestRetain(t *testing.T) {
 	f := New("dbl", KindBlacklist, false, false)
 	f.ObserveOnce(t0, "keep.com")
 	f.ObserveOnce(t0, "drop.com")
-	removed := f.Retain(func(d domain.Name) bool { return d == "keep.com" })
+	keep, _ := f.Syms().Find("keep.com")
+	removed := f.RetainID(func(d symtab.ID) bool { return d == keep })
 	if removed != 1 || f.Unique() != 1 || !f.Has("keep.com") || f.Has("drop.com") {
 		t.Fatalf("Retain: removed=%d unique=%d", removed, f.Unique())
 	}
@@ -270,5 +273,35 @@ func TestTapOnObserveOnce(t *testing.T) {
 	f.ObserveOnce(t1, "a.com") // already listed: no new record
 	if n != 1 {
 		t.Fatalf("tapped %d, want 1", n)
+	}
+}
+
+// TestObserveIDScalesLinearly observes n fresh, increasing IDs, as a
+// feed sees the engine's freshly minted poison names, and checks that
+// the heap bytes per new row stay flat as n grows eightfold. The row
+// array and the ID index both grow per new domain; either one copied
+// on every new highest ID would make the bytes per row grow about
+// eightfold too.
+func TestObserveIDScalesLinearly(t *testing.T) {
+	at := t0.UnixNano()
+	perRow := func(n int) float64 {
+		f := New("mx1", KindMXHoneypot, true, true)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for id := 1; id <= n; id++ {
+			f.ObserveID(at, symtab.ID(id), 0)
+		}
+		runtime.ReadMemStats(&after)
+		if f.Unique() != n {
+			t.Fatalf("Unique = %d after %d fresh IDs", f.Unique(), n)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	const n = 16_384
+	small, large := perRow(n), perRow(8*n)
+	t.Logf("heap bytes per new row: %.1f at %d rows, %.1f at %d", small, n, large, 8*n)
+	if large > 2*small {
+		t.Fatalf("ObserveID allocates %.0f B per new row at %d rows but %.0f B at %d",
+			small, n, large, 8*n)
 	}
 }

@@ -111,9 +111,7 @@ var nilGuardPackages = map[string]bool{
 // per-iteration string building is banned: these run loops once per
 // message (or once per domain × feed), and the interned-symbol design
 // keeps them allocation-free. Diagnostic, reporting and edge packages
-// build strings as their job and stay out of this set; benchref is
-// excluded because it deliberately freezes the pre-interning engine,
-// string churn included.
+// build strings as their job and stay out of this set.
 var stringAllocPackages = map[string]bool{
 	"analysis":   true,
 	"dnsblplane": true,

@@ -124,7 +124,6 @@ func TestNeedsStringAlloc(t *testing.T) {
 		// Edge and reporting packages build strings as their job.
 		{"tasterschoice/internal/dnsbl", false},
 		{"tasterschoice/internal/report", false},
-		{"tasterschoice/internal/benchref", false},
 		{"fmt", false},
 	}
 	for _, tc := range cases {

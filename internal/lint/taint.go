@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -325,30 +326,36 @@ func computeMutMasks(pass *Pass, in *Inter) {
 				continue
 			}
 			f := in.facts[node]
+			// owner maps each parameter, and each local holding a
+			// pointer, slice or map taken from one (sl := &b[i]), to
+			// the operand bit a write through it sets.
+			owner := maps.Clone(params)
+			mark := func(root *ast.Ident) {
+				if i, ok := owner[pass.Info.Uses[root]]; ok {
+					f.MutMask |= 1 << i
+				}
+			}
 			ast.Inspect(node.Body, func(n ast.Node) bool {
 				switch v := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range v.Lhs {
-						if root := writeRoot(lhs); root != nil {
-							if i, ok := params[pass.Info.Uses[root]]; ok {
-								f.MutMask |= 1 << i
-							}
+						mark(writeRoot(lhs))
+					}
+					for i, lhs := range v.Lhs {
+						id, ok := lhs.(*ast.Ident)
+						if !ok || i >= len(v.Rhs) || !isReference(pass.Info.TypeOf(v.Rhs[i])) {
+							continue
+						}
+						if bit, ok := owner[pass.Info.Uses[rootIdent(v.Rhs[i])]]; ok && pass.Info.ObjectOf(id) != nil {
+							owner[pass.Info.ObjectOf(id)] = bit
 						}
 					}
 				case *ast.IncDecStmt:
-					if root := writeRoot(v.X); root != nil {
-						if i, ok := params[pass.Info.Uses[root]]; ok {
-							f.MutMask |= 1 << i
-						}
-					}
+					mark(writeRoot(v.X))
 				case *ast.CallExpr:
 					// delete(m, k) mutates its map operand.
 					if bi, ok := pass.Info.Uses[identOf(v.Fun)].(*types.Builtin); ok && bi.Name() == "delete" && len(v.Args) > 0 {
-						if root := rootIdent(v.Args[0]); root != nil {
-							if i, ok := params[pass.Info.Uses[root]]; ok {
-								f.MutMask |= 1 << i
-							}
-						}
+						mark(rootIdent(v.Args[0]))
 					}
 					// Forwarding: an operand passed into a mutating
 					// operand slot of a resolvable callee.
@@ -364,11 +371,7 @@ func computeMutMasks(pass *Pass, in *Inter) {
 						if bit >= 16 || cf.MutMask&(1<<bit) == 0 {
 							continue
 						}
-						if root := rootIdent(arg); root != nil {
-							if i, ok := params[pass.Info.Uses[root]]; ok {
-								f.MutMask |= 1 << i
-							}
-						}
+						mark(rootIdent(arg))
 					}
 				}
 				return true
@@ -379,6 +382,19 @@ func computeMutMasks(pass *Pass, in *Inter) {
 			}
 		}
 	}
+}
+
+// isReference reports whether a value of type t refers to storage it
+// does not hold itself: a pointer, slice or map.
+func isReference(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map:
+		return true
+	}
+	return false
 }
 
 // calleeOperands lays a resolved call's operand expressions out in the
@@ -414,12 +430,17 @@ func writeRoot(lhs ast.Expr) *ast.Ident {
 }
 
 // rootIdent walks selectors, indexes, unary &/* and parens down to the
-// base identifier, or nil.
+// base identifier, or nil (a chain derived through a call is lost).
 func rootIdent(e ast.Expr) *ast.Ident {
+	id, _ := chainBase(e).(*ast.Ident)
+	return id
+}
+
+// chainBase walks selectors, indexes, slices, unary &/* and parens
+// down to the expression they start from.
+func chainBase(e ast.Expr) ast.Expr {
 	for {
 		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return v
 		case *ast.SelectorExpr:
 			e = v.X
 		case *ast.IndexExpr:
@@ -430,10 +451,8 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			e = v.X
 		case *ast.SliceExpr:
 			e = v.X
-		case *ast.CallExpr:
-			return nil // derived through a call: lose the chain
 		default:
-			return nil
+			return v
 		}
 	}
 }

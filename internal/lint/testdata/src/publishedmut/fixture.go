@@ -5,12 +5,16 @@
 // concurrent readers.
 package fixture
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 type snapshot struct {
 	serial  int
 	entries map[string]int
 	order   []string
+	buckets []bucket
 }
 
 type shard struct {
@@ -81,6 +85,79 @@ func badClosure(sh *shard, next *snapshot) {
 	go func() {
 		next.serial++ // want "write to next after it was published"
 	}()
+}
+
+// okRebindInBranch: a value published and rebound in the same block
+// is fresh after it on every path.
+func okRebindInBranch(sh *shard, next *snapshot, again bool) {
+	if again {
+		sh.cur.Store(next)
+		next = &snapshot{}
+	}
+	next.serial = 1
+	sh.cur.Store(next)
+}
+
+// bucket is one copy-on-write bucket of a snapshot: readers Load the
+// snapshot without a lock, so every bucket a loaded one holds is
+// shared with them.
+type bucket []string
+
+// put writes through a local pointer into the bucket's array; its
+// mutation mask still marks the receiver written.
+func (b bucket) put(name string) {
+	slot := &b[len(name)%len(b)]
+	*slot = name
+}
+
+// badLoadedAlias is dnsblplane's copy-on-write apply with its copy
+// dropped (m = prev where slices.Clone(prev) belongs): it fills a
+// bucket the loaded snapshot still holds. Rebinding base on the
+// growth branch does not thaw it for the other branch.
+func badLoadedAlias(sh *shard, name string, nb int) {
+	old := sh.cur.Load()
+	base := old.buckets
+	if nb != len(base) {
+		base = make([]bucket, nb)
+	}
+	next := &snapshot{buckets: make([]bucket, len(base))}
+	for b := range next.buckets {
+		prev := base[b]
+		var m bucket
+		if len(prev) > 0 {
+			m = prev
+		} else {
+			m = make(bucket, 8)
+		}
+		m[0] = name // want "write to old after it was published"
+		m.put(name) // want "old escapes to fixture.bucket.put, which writes through it"
+		next.buckets[b] = m
+	}
+	sh.cur.Store(next)
+}
+
+// okLoadedClone is badLoadedAlias as it should be: the bucket is
+// copied before the writes.
+func okLoadedClone(sh *shard, name string) {
+	old := sh.cur.Load()
+	next := &snapshot{buckets: make([]bucket, len(old.buckets))}
+	for b := range next.buckets {
+		prev := old.buckets[b]
+		var m bucket
+		if len(prev) > 0 {
+			m = slices.Clone(prev)
+		} else {
+			m = make(bucket, 8)
+		}
+		m[0] = name
+		m.put(name)
+		next.buckets[b] = m
+	}
+	sh.cur.Store(next)
+}
+
+func badLoadedWrite(sh *shard) {
+	sh.cur.Load().buckets[0] = nil // want "write to sh.cur.Load"
 }
 
 // okBuildThenPublish is the sanctioned shape: build fully, publish

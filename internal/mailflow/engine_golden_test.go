@@ -50,7 +50,8 @@ func fingerprint(res *Result) [sha256.Size]byte {
 	for _, name := range res.Order {
 		f := res.Feed(name)
 		f.Each(func(d domain.Name, _ feeds.DomainStat) {
-			fmt.Fprintf(h, "o %s %d\n", d, res.Oracle.Volume(d))
+			id, _ := f.Syms().Find(string(d))
+			fmt.Fprintf(h, "o %s %d\n", d, res.Oracle.VolumeID(id))
 		})
 	}
 	var sum [sha256.Size]byte

@@ -1,7 +1,6 @@
 package mailflow
 
 import (
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/randutil"
 	"tasterschoice/internal/symtab"
 )
@@ -18,10 +17,8 @@ var poisonTLDs = []string{"com", "com", "com", "net", "info"}
 // A small fraction of "fresh" names collide with genuinely registered
 // obscure domains.
 //
-// Names are held as interned symbol IDs; NextID is the allocation-free
-// hot path (minting reuses one scratch buffer and InternBytes), while
-// Next materializes the name for string-based callers. The RNG draw
-// sequence is identical either way.
+// Names are held as interned symbol IDs; NextID is allocation-free
+// (minting reuses one scratch buffer and InternBytes).
 type PoisonSource struct {
 	rng     *randutil.RNG
 	fresh   float64
@@ -33,21 +30,10 @@ type PoisonSource struct {
 	buf     []byte
 }
 
-// NewPoisonSource builds a source with its own private symbol table.
-// obscure is the pool of real registered domains random names can
-// collide with (may be empty).
-func NewPoisonSource(rng *randutil.RNG, fresh, liveHit float64, obscure []domain.Name) *PoisonSource {
-	tab := symtab.New()
-	ids := make([]symtab.ID, len(obscure))
-	for i, d := range obscure {
-		ids[i] = tab.Intern(string(d))
-	}
-	return newPoisonSourceSyms(rng, fresh, liveHit, tab, ids)
-}
-
 // newPoisonSourceSyms builds a source interning into a shared table —
 // the engine wires it to the world's table so feed observations can use
-// the IDs directly.
+// the IDs directly. obscure is the pool of real registered domains
+// random names can collide with (may be empty).
 func newPoisonSourceSyms(rng *randutil.RNG, fresh, liveHit float64,
 	tab *symtab.Table, obscure []symtab.ID) *PoisonSource {
 	return &PoisonSource{
@@ -58,11 +44,6 @@ func newPoisonSourceSyms(rng *randutil.RNG, fresh, liveHit float64,
 		obscure: obscure,
 		recent:  make([]symtab.ID, 0, 512),
 	}
-}
-
-// Next returns the poison domain carried by the next message.
-func (p *PoisonSource) Next() domain.Name {
-	return domain.Name(p.syms.Lookup(p.NextID()))
 }
 
 // NextID returns the interned ID of the next message's poison domain.

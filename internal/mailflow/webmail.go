@@ -112,7 +112,6 @@ type huEvent struct {
 }
 
 func newWebmail(cfg *Config, window simclock.Window, hu *feeds.Feed, o *oracle.Oracle) *webmail {
-	o.Bind(hu.Syms())
 	wm := &webmail{
 		cfg:        cfg,
 		window:     window,

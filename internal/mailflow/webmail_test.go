@@ -10,6 +10,7 @@ import (
 	"tasterschoice/internal/oracle"
 	"tasterschoice/internal/randutil"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/symtab"
 )
 
 func newTestWebmail(cfg Config) (*webmail, *feeds.Feed, *oracle.Oracle) {
@@ -17,6 +18,16 @@ func newTestWebmail(cfg Config) (*webmail, *feeds.Feed, *oracle.Oracle) {
 	hu := feeds.New("Hu", feeds.KindHuman, false, false)
 	o := oracle.New(w) // oracle over the whole window for testing
 	return newWebmail(&cfg, w, hu, o), hu, o
+}
+
+// volumeOf reads the oracle's count for d through the feed's symbol
+// table, which newWebmail shares with the oracle's IDs.
+func volumeOf(o *oracle.Oracle, hu *feeds.Feed, d domain.Name) int64 {
+	id, ok := hu.Syms().Find(string(d))
+	if !ok {
+		return 0
+	}
+	return o.VolumeID(id)
 }
 
 func times(start time.Time, n int, step time.Duration) []time.Time {
@@ -29,11 +40,11 @@ func times(start time.Time, n int, step time.Duration) []time.Time {
 
 func TestWebmailOracleCountsEverything(t *testing.T) {
 	cfg := DefaultConfig(1)
-	wm, _, o := newTestWebmail(cfg)
+	wm, hu, o := newTestWebmail(cfg)
 	rng := randutil.New(2)
 	d := domain.Name("pills.com")
 	wm.deliver(rng, times(simclock.PaperStart, 500, time.Minute), d, ecosystem.ClassLoud, nil)
-	if got := o.Volume(d); got != 500 {
+	if got := volumeOf(o, hu, d); got != 500 {
 		t.Fatalf("oracle volume %d, want 500 (pre-filter)", got)
 	}
 }
@@ -113,8 +124,8 @@ func TestWebmailRecordOnlyNeverReports(t *testing.T) {
 	if hu.Has(d) {
 		t.Fatal("recordOnly leaked into Hu")
 	}
-	if o.Volume(d) != 100 {
-		t.Fatalf("oracle volume %d", o.Volume(d))
+	if got := volumeOf(o, hu, d); got != 100 {
+		t.Fatalf("oracle volume %d", got)
 	}
 }
 
@@ -187,23 +198,34 @@ func TestStealthSplitSlotBeforeWindow(t *testing.T) {
 	}
 }
 
+// newTestPoisonSource builds a source over a private symbol table,
+// with obscure interned into it.
+func newTestPoisonSource(rng *randutil.RNG, fresh, liveHit float64, obscure []domain.Name) (*PoisonSource, *symtab.Table) {
+	tab := symtab.New()
+	ids := make([]symtab.ID, len(obscure))
+	for i, d := range obscure {
+		ids[i] = tab.Intern(string(d))
+	}
+	return newPoisonSourceSyms(rng, fresh, liveHit, tab, ids), tab
+}
+
 func TestPoisonSourceUniqueness(t *testing.T) {
 	rng := randutil.New(10)
 	// High fresh probability: most names unique.
-	src := NewPoisonSource(rng.SplitNamed("a"), 0.9, 0, nil)
-	seen := map[domain.Name]bool{}
+	src, _ := newTestPoisonSource(rng.SplitNamed("a"), 0.9, 0, nil)
+	seen := map[symtab.ID]bool{}
 	const n = 5000
 	for i := 0; i < n; i++ {
-		seen[src.Next()] = true
+		seen[src.NextID()] = true
 	}
 	if len(seen) < n*7/10 {
 		t.Fatalf("high-fresh source: %d unique of %d", len(seen), n)
 	}
 	// Low fresh probability: heavy re-use.
-	src = NewPoisonSource(rng.SplitNamed("b"), 0.05, 0, nil)
-	seen = map[domain.Name]bool{}
+	src, _ = newTestPoisonSource(rng.SplitNamed("b"), 0.05, 0, nil)
+	seen = map[symtab.ID]bool{}
 	for i := 0; i < n; i++ {
-		seen[src.Next()] = true
+		seen[src.NextID()] = true
 	}
 	if len(seen) > n/5 {
 		t.Fatalf("low-fresh source: %d unique of %d", len(seen), n)
@@ -213,11 +235,11 @@ func TestPoisonSourceUniqueness(t *testing.T) {
 func TestPoisonSourceLiveHits(t *testing.T) {
 	rng := randutil.New(11)
 	obscure := []domain.Name{"real1.com", "real2.com", "real3.com"}
-	src := NewPoisonSource(rng, 1.0, 0.5, obscure)
+	src, tab := newTestPoisonSource(rng, 1.0, 0.5, obscure)
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		d := src.Next()
+		d := domain.Name(tab.Lookup(src.NextID()))
 		for _, o := range obscure {
 			if d == o {
 				hits++
@@ -232,9 +254,9 @@ func TestPoisonSourceLiveHits(t *testing.T) {
 
 func TestPoisonSourceTLDsZoneCovered(t *testing.T) {
 	rng := randutil.New(12)
-	src := NewPoisonSource(rng, 1.0, 0, nil)
+	src, tab := newTestPoisonSource(rng, 1.0, 0, nil)
 	for i := 0; i < 200; i++ {
-		d := src.Next()
+		d := domain.Name(tab.Lookup(src.NextID()))
 		switch d.TLD() {
 		case "com", "net", "info":
 		default:

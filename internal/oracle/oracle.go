@@ -8,16 +8,13 @@
 // domains dominate feed volume before they are excluded (paper Fig. 3).
 //
 // Counts are stored densely by interned symbol ID (internal/symtab):
-// the engine binds the oracle to the world's shared table and records
-// through the ID fast paths, so the per-message path allocates nothing.
+// callers record and read through the IDs of the world's shared table,
+// so the per-message path allocates nothing and the oracle holds no
+// names of its own.
 package oracle
 
 import (
-	"time"
-
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/simclock"
-	"tasterschoice/internal/stats"
 	"tasterschoice/internal/symtab"
 )
 
@@ -26,29 +23,15 @@ type Oracle struct {
 	// Window is the five-day measurement slice.
 	Window simclock.Window
 
-	syms *symtab.Table
 	// counts is indexed by symbol ID; zero entries are unobserved.
 	counts []int64
 	unique int
 	total  int64
 }
 
-// New creates an oracle counting over the given window, with its own
-// private symbol table.
+// New creates an oracle counting over the given window.
 func New(w simclock.Window) *Oracle {
-	return &Oracle{Window: w, syms: symtab.New()}
-}
-
-// Bind attaches the oracle to a shared symbol table. It must be called
-// before anything is recorded.
-func (o *Oracle) Bind(tab *symtab.Table) {
-	if tab == o.syms {
-		return
-	}
-	if o.total != 0 || o.unique != 0 {
-		panic("oracle: Bind after counts were recorded")
-	}
-	o.syms = tab
+	return &Oracle{Window: w}
 }
 
 // PaperOracleWindow returns a five-day window in the middle of the
@@ -61,24 +44,13 @@ func PaperOracleWindow(measurement simclock.Window) simclock.Window {
 // add accumulates n observations for an interned ID.
 func (o *Oracle) add(d symtab.ID, n int64) {
 	if int(d) >= len(o.counts) {
-		grown := make([]int64, int(d)+1, int(d)+1+(int(d)+1)/2)
-		copy(grown, o.counts)
-		o.counts = grown
+		o.counts = append(o.counts, make([]int64, int(d)+1-len(o.counts))...)
 	}
 	if o.counts[d] == 0 {
 		o.unique++
 	}
 	o.counts[d] += n
 	o.total += n
-}
-
-// Record counts one incoming message containing d at time t; messages
-// outside the oracle window are ignored.
-func (o *Oracle) Record(t time.Time, d domain.Name) {
-	if !o.Window.Contains(t) {
-		return
-	}
-	o.add(o.syms.Intern(string(d)), 1)
 }
 
 // RecordID counts one incoming message for an interned domain ID at a
@@ -90,31 +62,15 @@ func (o *Oracle) RecordID(tNanos int64, d symtab.ID) {
 	o.add(d, 1)
 }
 
-// AddBulk adds n message observations for d without timestamps — used
-// for the analytically generated legitimate-mail baseline, which is far
-// too large to materialize message by message.
-func (o *Oracle) AddBulk(d domain.Name, n int64) {
-	if n <= 0 {
-		return
-	}
-	o.add(o.syms.Intern(string(d)), n)
-}
-
-// AddBulkID is the hot-path form of AddBulk.
+// AddBulkID adds n message observations for an interned domain ID
+// without timestamps — used for the analytically generated
+// legitimate-mail baseline, which is far too large to materialize
+// message by message.
 func (o *Oracle) AddBulkID(d symtab.ID, n int64) {
 	if n <= 0 {
 		return
 	}
 	o.add(d, n)
-}
-
-// Volume returns the recorded count for d.
-func (o *Oracle) Volume(d domain.Name) int64 {
-	id, ok := o.syms.Find(string(d))
-	if !ok {
-		return 0
-	}
-	return o.VolumeID(id)
 }
 
 // VolumeID returns the recorded count for an interned domain ID.
@@ -130,31 +86,3 @@ func (o *Oracle) Total() int64 { return o.total }
 
 // Unique returns the number of distinct domains observed.
 func (o *Oracle) Unique() int { return o.unique }
-
-// Volumes returns counts for exactly the requested domains (the paper
-// submits the union of feed domains and receives their counts);
-// domains never observed get 0.
-func (o *Oracle) Volumes(domains []domain.Name) map[string]int64 {
-	out := make(map[string]int64, len(domains))
-	for _, d := range domains {
-		out[string(d)] = o.Volume(d)
-	}
-	return out
-}
-
-// Dist returns the empirical volume distribution restricted to the
-// given support set — the paper's "Mail" column sets the probability of
-// any domain outside the union of feeds to zero.
-func (o *Oracle) Dist(support map[string]bool) stats.Dist {
-	counts := make(map[string]int64)
-	for id, c := range o.counts {
-		if c == 0 {
-			continue
-		}
-		d := o.syms.Lookup(symtab.ID(id))
-		if support[d] {
-			counts[d] = c
-		}
-	}
-	return stats.NewDistFromCounts(counts)
-}
