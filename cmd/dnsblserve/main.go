@@ -1,13 +1,6 @@
 // Command dnsblserve serves blacklist feeds as DNSBL zones over
 // DNS/UDP, the way dbl- and uribl-style blacklists are consumed by
-// mail filters.
-//
-// Single-zone (legacy) mode serves one feed under one zone through the
-// synchronous internal/dnsbl server:
-//
-//	dnsblserve -feed feeds-out/uribl.tsv -zone uribl.example -listen 127.0.0.1:5353
-//
-// Multi-zone plane mode serves any number of zones from the sharded
+// mail filters. Any number of zones are served from the sharded
 // internal/dnsblplane index — lock-free reads, RCU snapshot reloads,
 // negative-answer caching, batched read/write loops:
 //
@@ -22,7 +15,7 @@
 // server and hot-reloads its records into ZONE while queries keep
 // flowing.
 //
-// Query either mode with the dnsbl client, or with standard tools:
+// Query it with the dnsbl client, or with standard tools:
 //
 //	dig @127.0.0.1 -p 5353 somespamdomain.com.uribl.example A
 //
@@ -32,13 +25,11 @@
 // surface — /metrics (Prometheus text), /debug/vars (expvar),
 // /debug/pprof/ and /debug/trace — on a second HTTP listener.
 //
-// Overload protection is off by default and switched on with the
-// -workers / -max-inflight / -rate family of flags: queries then pass
-// an admission gate (and, in legacy mode, a bounded CoDel-shedding
-// queue), and excess load is answered with protocol-native
-// REFUSED/SERVFAIL instead of growing an unbounded backlog. See
-// MECHANISMS.md, "Overload and graceful degradation" and "Sharded
-// query plane".
+// Queries wait in a bounded queue per worker (-workers, -queue), and
+// the -rate / -fair-* flags add an admission gate in front of it.
+// Excess load is answered with protocol-native REFUSED/SERVFAIL
+// instead of growing an unbounded backlog. See MECHANISMS.md,
+// "Overload and graceful degradation" and "Sharded query plane".
 package main
 
 import (
@@ -54,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"tasterschoice/internal/dnsbl"
 	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/feedsync"
@@ -73,16 +63,13 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
-// options carries everything setup needs; one struct instead of a
+// options carries everything setupPlane needs; one struct instead of a
 // parameter list that grows with every flag.
 type options struct {
-	feedPath    string
-	zone        string
 	listen      string
 	ttl         uint32
 	metricsAddr string
 
-	// Plane mode (any -serve entry switches it on).
 	serves      []string // "suffix=feedfile" entries
 	shards      int
 	negTTL      time.Duration
@@ -95,10 +82,9 @@ type options struct {
 	zoneNegTTLs []string // "suffix=duration" per-zone negative-TTL overrides
 	zoneSOAs    []string // "suffix=mname,rname[,serial]" per-zone SOA records
 
-	// Overload protection (all zero: unprotected serving).
-	workers     int     // worker pool size (0: legacy synchronous loop)
+	// Overload protection (all zero: the plane's defaults, no gate).
+	workers     int     // responder goroutines (0: 4)
 	queueDepth  int     // bounded queue size (0: 16×workers)
-	maxInflight int     // admission gate concurrency cap (0: unlimited)
 	rate        float64 // admissions/sec per priority class (0: unlimited)
 	burst       float64 // bucket burst (0: rate)
 	fairBuckets int     // per-client fairness buckets (0: disabled)
@@ -109,67 +95,22 @@ type options struct {
 
 // gateWanted reports whether any admission-gate flag was set.
 func (o options) gateWanted() bool {
-	return o.maxInflight > 0 || o.rate > 0 || o.fairBuckets > 0
+	return o.rate > 0 || o.fairBuckets > 0
 }
 
 // gate builds the admission gate from the flag family.
 func (o options) gate(reg *obs.Registry) *overload.Gate {
 	cfg := overload.GateConfig{
-		MaxConcurrent: o.maxInflight,
-		FairBuckets:   o.fairBuckets,
-		FairRate:      o.fairRate,
-		FairBurst:     o.fairBurst,
-		Seed:          o.seed,
+		FairBuckets: o.fairBuckets,
+		FairRate:    o.fairRate,
+		FairBurst:   o.fairBurst,
+		Seed:        o.seed,
 	}
 	for p := range cfg.Rate {
 		cfg.Rate[p], cfg.Burst[p] = o.rate, o.burst
 	}
 	cfg.Metrics = overload.NewGateMetrics(reg, "dnsbl")
 	return overload.NewGate(cfg)
-}
-
-// setup loads the feed and wires the legacy single-zone DNS server
-// plus, when o.metricsAddr is non-empty, an instrumented exposition
-// endpoint. The server is listening (on possibly-":0"-resolved addr)
-// when setup returns.
-func setup(o options) (srv *dnsbl.Server, addr net.Addr, ms *obs.MetricsServer, err error) {
-	f, err := os.Open(o.feedPath)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	feed, err := feeds.ReadTSV(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	srv = dnsbl.NewServer(o.zone, dnsbl.FeedZone{Feed: feed})
-	srv.TTL = o.ttl
-	var reg *obs.Registry
-	if o.metricsAddr != "" {
-		reg = obs.NewRegistry()
-		srv.Metrics = dnsbl.NewServerMetrics(reg, o.zone)
-		ms, err = obs.Serve(o.metricsAddr, reg, obs.NewTracer(0, nil))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if o.gateWanted() {
-		srv.Admission = o.gate(reg)
-	}
-	if o.workers > 0 {
-		srv.Workers = o.workers
-		srv.QueueDepth = o.queueDepth
-		srv.QueueMetrics = overload.NewQueueMetrics(reg, "dnsbl")
-	}
-	addr, err = srv.Listen(o.listen)
-	if err != nil {
-		if ms != nil {
-			ms.Close()
-		}
-		return nil, nil, nil, err
-	}
-	return srv, addr, ms, nil
 }
 
 // loadFeedFile reads one feed file — aggregate TSV for .tsv, raw JSONL
@@ -198,7 +139,7 @@ func loadFeedFile(path string) (*feeds.Feed, error) {
 	return feed, nil
 }
 
-// setupPlane wires the multi-zone sharded plane: parses the -serve
+// setupPlane wires the sharded plane: parses the -serve
 // entries, bulk-loads each feed into its zone, starts the batched UDP
 // server and, when o.syncAddr is set, one hot-reload tailer per -sync
 // entry. The returned stop function halts the tailers (idempotent).
@@ -398,26 +339,23 @@ func applyZoneOverrides(zones []dnsblplane.ZoneConfig, o options) error {
 }
 
 func main() {
-	feedPath := flag.String("feed", "", "legacy mode: feed TSV file to serve under -zone")
-	zone := flag.String("zone", "dnsbl.example", "legacy mode: zone suffix to answer under")
 	var serves, tails, zoneTTLs, zoneNegTTLs, zoneSOAs multiFlag
-	flag.Var(&serves, "serve", "plane mode: SUFFIX=FEEDFILE zone to serve (repeatable)")
-	flag.Var(&tails, "sync", "plane mode: FEED=ZONE feedsync subscription to hot-reload (repeatable)")
-	flag.Var(&zoneTTLs, "zone-ttl", "plane mode: SUFFIX=SECONDS positive-answer TTL override for one zone (repeatable)")
-	flag.Var(&zoneNegTTLs, "zone-negttl", "plane mode: SUFFIX=DURATION negative-answer TTL override for one zone (repeatable)")
-	flag.Var(&zoneSOAs, "zone-soa", "plane mode: SUFFIX=MNAME,RNAME[,SERIAL] apex SOA for one zone; switches on RFC 2308 authority sections (repeatable)")
+	flag.Var(&serves, "serve", "SUFFIX=FEEDFILE zone to serve (repeatable, at least one)")
+	flag.Var(&tails, "sync", "FEED=ZONE feedsync subscription to hot-reload (repeatable)")
+	flag.Var(&zoneTTLs, "zone-ttl", "SUFFIX=SECONDS positive-answer TTL override for one zone (repeatable)")
+	flag.Var(&zoneNegTTLs, "zone-negttl", "SUFFIX=DURATION negative-answer TTL override for one zone (repeatable)")
+	flag.Var(&zoneSOAs, "zone-soa", "SUFFIX=MNAME,RNAME[,SERIAL] apex SOA for one zone; switches on RFC 2308 authority sections (repeatable)")
 	syncAddr := flag.String("sync-addr", "", "feedsync server address for -sync subscriptions")
-	shards := flag.Int("shards", 4, "plane mode: shards per zone (rounded up to a power of two)")
-	negTTL := flag.Duration("neg-ttl", 30*time.Second, "plane mode: negative-answer cache TTL")
-	negSize := flag.Int("neg-size", 512, "plane mode: negative-cache entries per shard (<0 disables)")
-	readers := flag.Int("readers", 1, "plane mode: socket reader goroutines")
-	batch := flag.Int("batch", 32, "plane mode: max datagrams per worker wakeup")
+	shards := flag.Int("shards", 4, "shards per zone (rounded up to a power of two)")
+	negTTL := flag.Duration("neg-ttl", 30*time.Second, "negative-answer cache TTL")
+	negSize := flag.Int("neg-size", 512, "negative-cache entries per shard (<0 disables)")
+	readers := flag.Int("readers", 1, "socket reader goroutines")
+	batch := flag.Int("batch", 32, "max datagrams per worker wakeup")
 	listen := flag.String("listen", "127.0.0.1:5353", "UDP address to listen on")
 	ttl := flag.Uint("ttl", 300, "TTL for positive answers, seconds")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this HTTP address (empty: disabled)")
-	workers := flag.Int("workers", 0, "worker pool size (legacy mode 0: synchronous loop; plane mode 0: 4)")
+	workers := flag.Int("workers", 0, "responder goroutines (0: 4)")
 	queueDepth := flag.Int("queue", 0, "bounded request queue depth (0: 16 per worker)")
-	maxInflight := flag.Int("max-inflight", 0, "admission cap on concurrently served queries (0: unlimited)")
 	rate := flag.Float64("rate", 0, "admissions per second per priority class (0: unlimited)")
 	burst := flag.Float64("burst", 0, "admission bucket burst (0: same as -rate)")
 	fairBuckets := flag.Int("fair-buckets", 0, "per-client fairness buckets (0: disabled)")
@@ -427,8 +365,6 @@ func main() {
 	flag.Parse()
 
 	o := options{
-		feedPath:    *feedPath,
-		zone:        *zone,
 		listen:      *listen,
 		ttl:         uint32(*ttl),
 		metricsAddr: *metricsAddr,
@@ -445,7 +381,6 @@ func main() {
 		batch:       *batch,
 		workers:     *workers,
 		queueDepth:  *queueDepth,
-		maxInflight: *maxInflight,
 		rate:        *rate,
 		burst:       *burst,
 		fairBuckets: *fairBuckets,
@@ -453,55 +388,37 @@ func main() {
 		fairBurst:   *fairBurst,
 		seed:        *seed,
 	}
-	if len(o.serves) == 0 && o.feedPath == "" {
+	if len(o.serves) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	// SIGTERM/SIGINT drain the server instead of cutting it off: the
-	// query being answered completes, then the sockets close. The drain
-	// deadline force-closes stragglers.
+	// queries already admitted are answered, then the socket closes.
+	// The drain deadline force-closes stragglers.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if len(o.serves) > 0 {
-		srv, addr, ms, stopTails, err := setupPlane(o)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("serving %d zone(s) on %s\n", len(srv.Plane.Zones()), addr)
-		for _, z := range srv.Plane.Zones() {
-			fmt.Printf("try: dig @%s somedomain.%s A\n", addr, z)
-		}
-		if ms != nil {
-			defer ms.Close()
-			fmt.Printf("metrics on http://%s/metrics\n", ms.Addr())
-		}
-		err = lifecycle.Run(ctx, srv, 10*time.Second)
-		stopTails()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dnsblserve: shutdown: %v\n", err)
-		}
-		m := srv.Plane.Metrics
-		fmt.Printf("\n%d queries served, %d listed, %d negative-cache hits, %d shed\n",
-			m.Queries.Value(), m.Hits.Value(), m.NegHits.Value(), m.Shed.Value())
-		return
-	}
-
-	srv, addr, ms, err := setup(o)
+	srv, addr, ms, stopTails, err := setupPlane(o)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("serving zone %s on %s\n", o.zone, addr)
-	fmt.Printf("try: dig @%s somedomain.%s A\n", addr, o.zone)
+	fmt.Printf("serving %d zone(s) on %s\n", len(srv.Plane.Zones()), addr)
+	for _, z := range srv.Plane.Zones() {
+		fmt.Printf("try: dig @%s somedomain.%s A\n", addr, z)
+	}
 	if ms != nil {
 		defer ms.Close()
 		fmt.Printf("metrics on http://%s/metrics\n", ms.Addr())
 	}
-	if err := lifecycle.Run(ctx, srv, 10*time.Second); err != nil {
+	err = lifecycle.Run(ctx, srv, 10*time.Second)
+	stopTails()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dnsblserve: shutdown: %v\n", err)
 	}
-	fmt.Printf("\n%d queries served, %d listed\n", srv.Queries(), srv.Hits())
+	m := srv.Plane.Metrics
+	fmt.Printf("\n%d queries served, %d listed, %d negative-cache hits, %d shed\n",
+		m.Queries.Value(), m.Hits.Value(), m.NegHits.Value(), m.Shed.Value())
 }
 
 func fail(err error) {

@@ -78,17 +78,18 @@ func scrapeCounters(t *testing.T, url string) map[string]float64 {
 }
 
 // TestMetricsEndpoint is the acceptance test for the -metrics flag:
-// setup with a ":0" metrics address must serve /metrics, /debug/vars
-// and /debug/pprof/, and the scraped counters must reflect queries the
-// DNS server actually answered.
+// setupPlane with a ":0" metrics address must serve /metrics,
+// /debug/vars and /debug/pprof/, and the scraped counters must reflect
+// queries the DNS server actually answered.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, addr, ms, err := setup(options{
-		feedPath: writeTestFeed(t), zone: "dbl.example",
+	srv, addr, ms, stop, err := setupPlane(options{
+		serves: []string{"dbl.example=" + writeTestFeed(t)},
 		listen: "127.0.0.1:0", ttl: 300, metricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop()
 	defer srv.Close()
 	defer ms.Close()
 
@@ -103,13 +104,11 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	base := "http://" + ms.Addr().String()
 	got := scrapeCounters(t, base+"/metrics")
-	queriesKey := `dnsbl_server_queries_total{zone="dbl.example"}`
-	hitsKey := `dnsbl_server_hits_total{zone="dbl.example"}`
-	if got[queriesKey] != 2 {
-		t.Errorf("%s = %v, want 2 (scrape: %v)", queriesKey, got[queriesKey], got)
+	if got["dnsblplane_queries_total"] != 2 {
+		t.Errorf("dnsblplane_queries_total = %v, want 2 (scrape: %v)", got["dnsblplane_queries_total"], got)
 	}
-	if got[hitsKey] != 1 {
-		t.Errorf("%s = %v, want 1", hitsKey, got[hitsKey])
+	if got["dnsblplane_hits_total"] != 1 {
+		t.Errorf("dnsblplane_hits_total = %v, want 1", got["dnsblplane_hits_total"])
 	}
 
 	// /debug/vars must be valid JSON carrying the "metrics" mirror.
@@ -127,10 +126,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("/debug/vars missing metrics mirror: %v", vars["metrics"])
 	}
-	// The expvar mirror keys series as name{label=value} (unquoted).
-	expvarKey := "dnsbl_server_queries_total{zone=dbl.example}"
-	if v, _ := mirror[expvarKey].(float64); v != 2 {
-		t.Errorf("expvar %s = %v, want 2", expvarKey, mirror[expvarKey])
+	if v, _ := mirror["dnsblplane_queries_total"].(float64); v != 2 {
+		t.Errorf("expvar dnsblplane_queries_total = %v, want 2", mirror["dnsblplane_queries_total"])
 	}
 
 	// pprof index must answer.
@@ -147,19 +144,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSetupOverloadWiring pins the -workers/-max-inflight flag family:
-// a protected server still answers queries correctly, and the overload
+// TestSetupOverloadWiring pins the -workers/-rate/-fair-* flag family:
+// a protected server still answers queries correctly, and the gate's
 // instruments show up on /metrics with the admissions it counted.
 func TestSetupOverloadWiring(t *testing.T) {
-	srv, addr, ms, err := setup(options{
-		feedPath: writeTestFeed(t), zone: "dbl.example",
+	srv, addr, ms, stop, err := setupPlane(options{
+		serves: []string{"dbl.example=" + writeTestFeed(t)},
 		listen: "127.0.0.1:0", ttl: 300, metricsAddr: "127.0.0.1:0",
-		workers: 2, queueDepth: 32, maxInflight: 16,
+		workers: 2, queueDepth: 32,
 		rate: 10000, fairBuckets: 4, fairRate: 10000, seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop()
 	defer srv.Close()
 	defer ms.Close()
 
@@ -175,24 +173,27 @@ func TestSetupOverloadWiring(t *testing.T) {
 	got := scrapeCounters(t, "http://"+ms.Addr().String()+"/metrics")
 	admitted := 0.0
 	for k, v := range got {
-		if strings.HasPrefix(k, "dnsbl_queue_admitted_total") {
+		if strings.HasPrefix(k, "dnsbl_admitted_total") {
 			admitted += v
 		}
 	}
 	if admitted != 2 {
-		t.Errorf("queue admitted = %v, want 2 (scrape: %v)", admitted, got)
+		t.Errorf("gate admitted = %v, want 2 (scrape: %v)", admitted, got)
 	}
 }
 
-// TestSetupWithoutMetrics pins the flag's default-off behavior.
+// TestSetupWithoutMetrics pins the -metrics flag's default-off behavior:
+// a single zone with every other flag at its zero value starts no
+// metrics server and still answers a listed lookup.
 func TestSetupWithoutMetrics(t *testing.T) {
-	srv, addr, ms, err := setup(options{
-		feedPath: writeTestFeed(t), zone: "dbl.example",
+	srv, addr, ms, stop, err := setupPlane(options{
+		serves: []string{"dbl.example=" + writeTestFeed(t)},
 		listen: "127.0.0.1:0", ttl: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop()
 	defer srv.Close()
 	if ms != nil {
 		t.Fatal("metrics server started without -metrics")

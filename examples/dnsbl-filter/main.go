@@ -12,10 +12,12 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnsbl"
+	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/mailfilter"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/mailmsg"
+	"tasterschoice/internal/obs"
 	"tasterschoice/internal/randutil"
 	"tasterschoice/internal/report"
 	"tasterschoice/internal/simulate"
@@ -67,7 +69,15 @@ func run() error {
 	for _, feedName := range []string{"dbl", "uribl", "mx1"} {
 		feed := res.Feed(feedName)
 		zone := feedName + ".bl.test"
-		srv := dnsbl.NewServer(zone, dnsbl.FeedZone{Feed: feed})
+		plane, err := dnsblplane.New(dnsblplane.Config{Zones: []dnsblplane.ZoneConfig{{Suffix: zone}}})
+		if err != nil {
+			return err
+		}
+		plane.Metrics = dnsblplane.WireMetrics(obs.NewRegistry())
+		if _, err := plane.LoadFeed(zone, feed); err != nil {
+			return err
+		}
+		srv := &dnsblplane.Server{Plane: plane}
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			return err
@@ -91,7 +101,7 @@ func run() error {
 			fmt.Sprintf("%.1f%%", eval.CatchRate()*100),
 			fmt.Sprintf("%.2f%%", eval.FalsePositiveRate()*100),
 			fmt.Sprintf("%d", filter.Lookups),
-			fmt.Sprintf("%d", srv.Queries()),
+			fmt.Sprintf("%d", plane.Metrics.Queries.Value()),
 		})
 		srv.Close()
 	}

@@ -16,10 +16,12 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnsbl"
+	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/mailmsg"
 	"tasterschoice/internal/mta"
+	"tasterschoice/internal/obs"
 	"tasterschoice/internal/randutil"
 	"tasterschoice/internal/simulate"
 )
@@ -45,7 +47,15 @@ func run() error {
 
 	// Serve the collected dbl feed over DNS/UDP.
 	blacklist := res.Feed("dbl")
-	blServer := dnsbl.NewServer("dbl.example", dnsbl.FeedZone{Feed: blacklist})
+	plane, err := dnsblplane.New(dnsblplane.Config{Zones: []dnsblplane.ZoneConfig{{Suffix: "dbl.example"}}})
+	if err != nil {
+		return err
+	}
+	plane.Metrics = dnsblplane.WireMetrics(obs.NewRegistry())
+	if _, err := plane.LoadFeed("dbl.example", blacklist); err != nil {
+		return err
+	}
+	blServer := &dnsblplane.Server{Plane: plane}
 	blAddr, err := blServer.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
@@ -108,7 +118,7 @@ func run() error {
 		len(msgs), spamSent, hamSent)
 	fmt.Printf("MTA: %d received, %d rejected, %d delivered (%d lookup errors)\n",
 		st.Received, st.Rejected, st.Delivered, st.Errors)
-	fmt.Printf("DNSBL answered %d queries, %d listed\n", blServer.Queries(), blServer.Hits())
+	fmt.Printf("DNSBL answered %d queries, %d listed\n", plane.Metrics.Queries.Value(), plane.Metrics.Hits.Value())
 	fmt.Printf("spam catch rate with the dbl feed: %.0f%%\n",
 		100*float64(st.Rejected)/float64(spamSent))
 	fmt.Println("\nSwap in a different feed (uribl, or an MX honeypot's output) and")

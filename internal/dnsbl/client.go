@@ -37,9 +37,6 @@ func (e *timeoutError) Unwrap() []error { return []error{ErrTimeout, e.err} }
 type Client struct {
 	// Addr is the server's UDP address.
 	Addr string
-	// TCPAddr is the server's TCP address for ListedTCP (defaults to
-	// Addr).
-	TCPAddr string
 	// Suffix is the DNSBL zone ("dbl.example").
 	Suffix string
 	// Timeout per attempt (default 2s) and Retries (default 2

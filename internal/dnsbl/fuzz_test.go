@@ -29,24 +29,3 @@ func FuzzUnpack(f *testing.F) {
 		}
 	})
 }
-
-// FuzzServerHandle throws raw datagrams at the query handler.
-func FuzzServerHandle(f *testing.F) {
-	srv := NewServer("bl.test", StaticZone{"bad.com": "x"})
-	q := &Message{
-		Header:    Header{ID: 2},
-		Questions: []Question{{Name: "bad.com.bl.test", Type: TypeA, Class: ClassIN}},
-	}
-	raw, _ := q.Pack()
-	f.Add(raw)
-	f.Add([]byte{0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		resp := srv.Handle(data)
-		if resp == nil {
-			return
-		}
-		if _, err := Unpack(resp); err != nil {
-			t.Fatalf("server emitted unparseable response: %v", err)
-		}
-	})
-}

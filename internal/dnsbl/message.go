@@ -1,14 +1,13 @@
-// Package dnsbl implements a domain blacklist served over the DNS
-// protocol — the operational delivery mechanism for feeds like the
-// paper's dbl and uribl. Mail filters query
-// "<spam-domain>.<zone>" and interpret an A record in 127.0.0.0/8 as
-// "listed"; NXDOMAIN means "not listed".
+// Package dnsbl speaks the DNS blacklist protocol — the operational
+// delivery mechanism for feeds like the paper's dbl and uribl. Mail
+// filters query "<spam-domain>.<zone>" and interpret an A record in
+// 127.0.0.0/8 as "listed"; NXDOMAIN means "not listed".
 //
 // The package contains a from-scratch DNS wire-format codec (header,
 // question, A and TXT resource records, including compression-pointer
-// decoding), a UDP server that serves a feeds.Feed as a DNSBL zone, and
-// a client with timeouts and retries. Everything uses only the
-// standard library.
+// decoding) and a UDP client with timeouts and retries. Zones are
+// served by internal/dnsblplane, which answers with this codec's wire
+// shapes. Everything uses only the standard library.
 package dnsbl
 
 import (
@@ -32,6 +31,10 @@ const (
 	RCodeNXDomain uint8 = 3
 	RCodeRefused  uint8 = 5
 )
+
+// ListedAddress is the conventional "listed" answer for domain
+// blacklists (127.0.0.2).
+var ListedAddress = [4]byte{127, 0, 0, 2}
 
 // Errors returned by the codec.
 var (

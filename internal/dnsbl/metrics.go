@@ -40,24 +40,3 @@ func NewClientMetrics(r *obs.Registry) ClientMetrics {
 	r.Describe("dnsbl_client_query_seconds", "End-to-end lookup latency, retries included.")
 	return m
 }
-
-// ServerMetrics observes a DNSBL server alongside its Queries/Hits
-// atomics. The zero value is inert.
-type ServerMetrics struct {
-	// Queries counts every datagram handled.
-	Queries *obs.Counter
-	// Hits counts queries answered "listed".
-	Hits *obs.Counter
-}
-
-// NewServerMetrics wires a ServerMetrics to r, labeling the series
-// with the serving zone. Safe with a nil registry.
-func NewServerMetrics(r *obs.Registry, zone string) ServerMetrics {
-	m := ServerMetrics{
-		Queries: r.Counter("dnsbl_server_queries_total", "zone", zone),
-		Hits:    r.Counter("dnsbl_server_hits_total", "zone", zone),
-	}
-	r.Describe("dnsbl_server_queries_total", "DNS queries handled.")
-	r.Describe("dnsbl_server_hits_total", "Queries answered as listed.")
-	return m
-}

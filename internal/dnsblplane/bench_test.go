@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tasterschoice/internal/dnsbl"
 	"tasterschoice/internal/simclock"
 )
 
@@ -46,19 +45,6 @@ func BenchmarkRespond(b *testing.B) {
 		out = r.Respond(out[:0], qs[i%len(qs)])
 	}
 	_ = out
-}
-
-// BenchmarkLegacyHandle times the legacy single-zone server over the
-// same queries, for comparison with BenchmarkRespond: the legacy codec
-// Unpacks and Packs every query.
-func BenchmarkLegacyHandle(b *testing.B) {
-	srv := dnsbl.NewServer("dbl.test", dnsbl.FeedZone{Feed: testFeed("dbl", 32)})
-	qs := benchQueries(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv.Handle(qs[i%len(qs)])
-	}
 }
 
 // BenchmarkApply measures hot-reload delta application.

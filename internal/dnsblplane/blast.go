@@ -222,7 +222,7 @@ func (b *Blaster) client(id int, c *blastClient, bucket *overload.TokenBucket, s
 		if b.Weights != nil && len(b.Weights) == len(b.Listed) {
 			pick = randutil.NewWeightedChoice(&rng, b.Weights)
 		} else {
-			zipf = randutil.NewZipf(&rng, 1.1, len(b.Listed))
+			zipf = randutil.NewZipf(1.1, len(b.Listed))
 		}
 	}
 	clock := b.clock()

@@ -1,9 +1,8 @@
-// Package dnsblplane is the multi-tenant DNSBL query plane: the
-// serving-side counterpart of the dataset-build engine. Where
-// internal/dnsbl serves one feed in one zone from a single synchronous
-// loop, the plane serves many zones — each backed by one or more
-// feeds — from a sharded in-memory index built for global resolver
-// traffic:
+// Package dnsblplane is the DNSBL query plane that serves every
+// blacklist zone: the serving-side counterpart of the dataset-build
+// engine. It serves many zones — each backed by one or more feeds —
+// from a sharded in-memory index built for global resolver traffic,
+// and answers in internal/dnsbl's wire shapes:
 //
 //   - Sharding. Each zone's listings are split across a power-of-two
 //     number of shards by the low bits of a 64-bit FNV-1a hash of the
@@ -74,8 +73,8 @@ type ZoneConfig struct {
 	// NXDOMAIN answers carry the zone's SOA in the authority section
 	// (RFC 2308 negative caching — the record's TTL and MINIMUM are the
 	// zone's NegTTL), and queries for the zone apex itself are answered
-	// instead of refused. Zones without an SOA keep the legacy
-	// byte-for-byte answer shape.
+	// instead of refused. Zones without an SOA keep the plain shape:
+	// bare NXDOMAIN, apex refused.
 	SOA *SOAConfig
 }
 
@@ -409,8 +408,8 @@ func (r *Responder) Respond(dst []byte, raw []byte) []byte {
 	qd := binary.BigEndian.Uint16(raw[4:])
 	opcode := raw[2] >> 3 & 0xf
 	if qd != 1 || opcode != 0 {
-		// Rare malformed shapes take the slow path, which reproduces
-		// the single-feed server's semantics exactly.
+		// Rare multi-question and non-query shapes take the slow
+		// path, which answers them FORMERR.
 		return r.slowOrDrop(dst, raw)
 	}
 	nameLen, qEnd, ok := r.parseQuestion(raw)
@@ -442,7 +441,7 @@ func (r *Responder) answer(dst, raw []byte, qEnd int, name []byte) []byte {
 		// Apex queries: a zone with an SOA configured answers for its
 		// own name instead of refusing (SOA in the answer section for
 		// SOA queries, in the authority section otherwise). Zones
-		// without one keep the legacy REFUSED byte shape.
+		// without one refuse the apex like any name outside them.
 		for _, cand := range p.zones {
 			if cand.soaRR != nil && len(name) == len(cand.dotSuffix)-1 &&
 				bytes.Equal(name, cand.dotSuffix[1:]) {
@@ -512,7 +511,7 @@ func (r *Responder) answer(dst, raw []byte, qEnd int, name []byte) []byte {
 // dotted name into r.name. It returns the name length, the offset just
 // past the question (name + qtype + qclass), and whether the fast path
 // can answer; compression pointers and malformed labels fall back to
-// the slow path, which shares the legacy codec's handling.
+// the slow path, which parses with the internal/dnsbl codec.
 func (r *Responder) parseQuestion(raw []byte) (nameLen, qEnd int, ok bool) {
 	i := 12
 	w := 0
@@ -624,8 +623,8 @@ func (r *Responder) appendA(dst []byte, start int, z *zone) []byte {
 }
 
 // appendTXT appends the listing reason as one TXT record and bumps
-// ANCOUNT. The reason matches the legacy FeedZone text: "listed
-// <RFC3339> by <feed>", or plain "listed" when the feed is unnamed.
+// ANCOUNT. The reason reads "listed <RFC3339> by <feed>", or plain
+// "listed" when the feed is unnamed.
 // start is the offset in dst where this response's header begins.
 func (r *Responder) appendTXT(dst []byte, start int, z *zone, e entry) []byte {
 	r.scratch = append(r.scratch[:0], "listed"...)

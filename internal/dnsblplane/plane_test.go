@@ -2,12 +2,14 @@ package dnsblplane
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"reflect"
 
 	"tasterschoice/internal/dnsbl"
 	"tasterschoice/internal/domain"
@@ -66,15 +68,37 @@ func newTestPlane(t *testing.T, zone string, f *feeds.Feed, negSize int) *Plane 
 	return p
 }
 
+// readWireGolden reads a wire golden: one hex-encoded response per
+// line, "drop" for a query that gets no response.
+func readWireGolden(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if line == "drop" {
+			out = append(out, nil)
+			continue
+		}
+		b, err := hex.DecodeString(line)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
 // TestParityWithLegacyServer locks the plane's wire behaviour to the
-// single-feed server's: for every query shape the two must produce
-// byte-identical responses (or both drop). The legacy server is the
-// committed oracle; the plane is a reimplementation for throughput,
-// not a semantics change.
+// single-feed server it replaced. That server's responses to these
+// queries were captured in testdata/legacy_wire.golden before it was
+// deleted; for every query shape the plane must produce the same
+// response (or also drop). The plane is a reimplementation for
+// throughput, not a semantics change.
 func TestParityWithLegacyServer(t *testing.T) {
-	feed := testFeed("dbl", 8)
-	legacy := dnsbl.NewServer("dbl.test", dnsbl.FeedZone{Feed: feed})
-	plane := newTestPlane(t, "dbl.test", feed, -1)
+	plane := newTestPlane(t, "dbl.test", testFeed("dbl", 8), -1)
 
 	queries := [][]byte{
 		// Listed / unlisted A and TXT.
@@ -126,8 +150,12 @@ func TestParityWithLegacyServer(t *testing.T) {
 	opcode[2] |= 1 << 3 // IQUERY
 	queries = append(queries, opcode)
 
+	golden := readWireGolden(t, "testdata/legacy_wire.golden")
+	if len(golden) != len(queries) {
+		t.Fatalf("golden holds %d responses for %d queries", len(golden), len(queries))
+	}
 	for i, q := range queries {
-		want := legacy.Handle(q)
+		want := golden[i]
 		got := plane.Handle(q)
 		if (got == nil) != (want == nil) {
 			t.Errorf("query %d: plane dropped=%t, legacy dropped=%t", i, got == nil, want == nil)

@@ -2,6 +2,7 @@ package dnsblplane
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -30,9 +31,11 @@ import (
 // workers rather than in the kernel; swapping a recvmmsg-based reader
 // in later changes only the reader loop.
 //
-// Shedding follows the legacy single-feed server's wire contract:
-// REFUSED when the shed is the client's doing (rate or fairness),
-// SERVFAIL when it is ours (queue full), both header-only.
+// Shedding is cheap by design: a header-only reply costs a 12-byte
+// write, while an answer costs a parse, a lookup and a pack. The reply
+// is REFUSED when the shed is the client's doing (rate or fairness),
+// so well-behaved resolvers back off, and SERVFAIL when it is ours
+// (queue full), so they fail over to the next server at once.
 type Server struct {
 	// Plane answers the queries.
 	Plane *Plane
@@ -130,10 +133,35 @@ func (s *Server) classify(raw []byte, from net.Addr) overload.Priority {
 	if s.Classify != nil {
 		return s.Classify(raw, from)
 	}
-	if dnsbl.QTypeOf(raw) == dnsbl.TypeTXT {
+	if qtypeOf(raw) == dnsbl.TypeTXT {
+		// TXT lookups fetch listing reasons — oracle traffic, not the
+		// bulk resolver flood.
 		return overload.Normal
 	}
 	return overload.Bulk
+}
+
+// qtypeOf extracts the query type from a raw single-question DNS
+// message without a full unpack: skip the 12-byte header and the
+// QNAME labels, then read QTYPE. Returns 0 on malformed input, so
+// readers classify a datagram before spending a parse on it.
+func qtypeOf(raw []byte) uint16 {
+	i := 12
+	for i < len(raw) {
+		l := int(raw[i])
+		if l == 0 {
+			i++
+			break
+		}
+		if l >= 0xc0 { // compression pointer: illegal in a question, bail
+			return 0
+		}
+		i += 1 + l
+	}
+	if i+2 > len(raw) {
+		return 0
+	}
+	return binary.BigEndian.Uint16(raw[i:])
 }
 
 // Listen binds a UDP socket ("127.0.0.1:0" for tests) and serves in
@@ -236,8 +264,36 @@ func (s *Server) reader(conn net.PacketConn) {
 // shed answers a refused datagram with its header-only refusal.
 func (s *Server) shed(conn net.PacketConn, raw []byte, from net.Addr, reason overload.ShedReason) {
 	s.Plane.Metrics.Shed.Inc()
-	if resp := dnsbl.ShedReply(raw, dnsbl.ShedRCode(reason)); resp != nil {
+	if resp := shedReply(raw, shedRCode(reason)); resp != nil {
 		conn.WriteTo(resp, from) //nolint:errcheck // best-effort UDP reply
+	}
+}
+
+// shedReply builds the header-only refusal for a raw query: the
+// client's ID echoed, QR set, opcode and RD preserved, the given
+// RCode, and no question section (legal, and the shape the answer
+// path degrades to). Returns nil when raw is too short to be a query
+// or is itself a response.
+func shedReply(raw []byte, rcode uint8) []byte {
+	if len(raw) < 12 || raw[2]&0x80 != 0 {
+		return nil
+	}
+	resp := make([]byte, 12)
+	resp[0], resp[1] = raw[0], raw[1]
+	resp[2] = 0x80 | raw[2]&0x79 // QR=1, keep opcode+RD, clear AA/TC
+	resp[3] = rcode & 0x0f
+	return resp
+}
+
+// shedRCode maps a shed reason to its wire answer: REFUSED when the
+// shed is the client's doing (rate or fairness), SERVFAIL when it is
+// the server's (capacity).
+func shedRCode(r overload.ShedReason) uint8 {
+	switch r {
+	case overload.ShedRate, overload.ShedFairness:
+		return dnsbl.RCodeRefused
+	default:
+		return dnsbl.RCodeServFail
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"tasterschoice/internal/dnsbl"
 	"tasterschoice/internal/obs"
 	"tasterschoice/internal/overload"
 )
@@ -83,6 +84,10 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	// Fully stopped: the socket is gone, so a query gets no answer.
+	if got := queryServer(t, addr, appendQuery(nil, 2, "spam00.example", "dbl.test", 1), 200*time.Millisecond); got != nil {
+		t.Fatalf("answered after shutdown: %x", got)
+	}
 
 	// Goroutine-leak check: wait (bounded) for the count to settle back.
 	deadline := time.NewTimer(5 * time.Second)
@@ -108,6 +113,169 @@ func TestServerShutdownDrains(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close after shutdown: %v", err)
+	}
+}
+
+// TestCloseIdempotentConcurrent hammers Close, and Shutdown beside it,
+// from many goroutines on a live server; every call must return
+// cleanly, and a closed server must refuse to listen again. Run with
+// -race.
+func TestCloseIdempotentConcurrent(t *testing.T) {
+	srv := &Server{Plane: newTestPlane(t, "dbl.test", testFeed("dbl", 1), 0)}
+	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%4 == 0 {
+				errs <- srv.Shutdown(ctx)
+			} else {
+				errs <- srv.Close()
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent Close/Shutdown: %v", err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close after Close: %v", err)
+	}
+	if _, err := srv.Listen("127.0.0.1:0"); err == nil {
+		t.Fatal("Listen succeeded on a closed server")
+	}
+}
+
+// TestCloseDuringQueries closes the server while clients are firing
+// queries: no panic, no hang, and the races are clean under -race.
+func TestCloseDuringQueries(t *testing.T) {
+	p := newTestPlane(t, "dbl.test", testFeed("dbl", 1), 0)
+	srv := &Server{Plane: p}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(id uint16) {
+			defer wg.Done()
+			q := appendQuery(nil, id, "spam00.example", "dbl.test", 1)
+			buf := make([]byte, 512)
+			for j := 0; j < 50; j++ {
+				conn, err := net.Dial("udp", addr.String())
+				if err != nil {
+					errs <- err
+					return
+				}
+				conn.SetDeadline(overload.WallClock().Add(100 * time.Millisecond)) //nolint:errcheck
+				conn.Write(q)                                                      //nolint:errcheck // the server may be gone
+				conn.Read(buf)                                                     //nolint:errcheck // answered or not
+				conn.Close()
+			}
+		}(uint16(i + 1))
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	// Close once the clients' queries are arriving.
+	for p.Metrics.Queries.Value() < 8 {
+		select {
+		case <-done:
+			t.Fatal("clients finished before the server answered 8 queries")
+		default:
+			runtime.Gosched()
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+func TestShedReplyHeaderOnly(t *testing.T) {
+	req := &dnsbl.Message{
+		Header:    dnsbl.Header{ID: 0xbeef, RecursionDesired: true},
+		Questions: []dnsbl.Question{{Name: "x.dbl.example", Type: dnsbl.TypeA, Class: dnsbl.ClassIN}},
+	}
+	raw, err := req.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := shedReply(raw, dnsbl.RCodeServFail)
+	if len(resp) != 12 {
+		t.Fatalf("shed reply length = %d, want 12 (header only)", len(resp))
+	}
+	m, err := dnsbl.Unpack(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Header.ID != 0xbeef || !m.Header.Response || !m.Header.RecursionDesired {
+		t.Fatalf("header not echoed: %+v", m.Header)
+	}
+	if m.Header.RCode != dnsbl.RCodeServFail {
+		t.Fatalf("rcode = %d, want SERVFAIL", m.Header.RCode)
+	}
+	if len(m.Questions) != 0 || len(m.Answers) != 0 {
+		t.Fatalf("shed reply carries sections: %+v", m)
+	}
+}
+
+func TestShedReplyRejectsGarbage(t *testing.T) {
+	if shedReply([]byte("short"), dnsbl.RCodeServFail) != nil {
+		t.Fatal("built a reply from a truncated header")
+	}
+	resp := shedReply(make([]byte, 12), dnsbl.RCodeRefused)
+	if resp == nil {
+		t.Fatal("refused a minimal query header")
+	}
+	// A response must not be answered (reflection loop guard).
+	if shedReply(resp, dnsbl.RCodeRefused) != nil {
+		t.Fatal("answered a response")
+	}
+}
+
+func TestShedRCodeMapping(t *testing.T) {
+	if shedRCode(overload.ShedRate) != dnsbl.RCodeRefused || shedRCode(overload.ShedFairness) != dnsbl.RCodeRefused {
+		t.Fatal("client-fault sheds must REFUSE")
+	}
+	if shedRCode(overload.ShedCapacity) != dnsbl.RCodeServFail {
+		t.Fatal("server-fault sheds must SERVFAIL")
+	}
+}
+
+func TestQtypeOf(t *testing.T) {
+	if got := qtypeOf(appendQuery(nil, 1, "a.b", "dbl.example", dnsbl.TypeTXT)); got != dnsbl.TypeTXT {
+		t.Fatalf("qtypeOf = %d, want TXT", got)
+	}
+	if got := qtypeOf([]byte{1, 2, 3}); got != 0 {
+		t.Fatalf("qtypeOf(garbage) = %d, want 0", got)
+	}
+}
+
+func TestDefaultClassify(t *testing.T) {
+	var s Server
+	if s.classify(appendQuery(nil, 1, "x", "dbl.example", dnsbl.TypeTXT), nil) != overload.Normal {
+		t.Fatal("TXT should classify Normal")
+	}
+	if s.classify(appendQuery(nil, 1, "x", "dbl.example", dnsbl.TypeA), nil) != overload.Bulk {
+		t.Fatal("A should classify Bulk")
 	}
 }
 

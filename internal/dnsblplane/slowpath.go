@@ -20,10 +20,9 @@ func (r *Responder) slowOrDrop(dst, raw []byte) []byte {
 // names too long for its buffer — after a full parse by the
 // internal/dnsbl codec. A query the codec rejects is dropped. One with
 // a single question is answered as the fast path answers the same
-// question sent uncompressed. Any other shape gets the single-feed
-// server's FORMERR, including mustPack's degrade-to-bare-FORMERR
-// behaviour. These shapes are rare on a healthy wire, so allocating
-// here is fine.
+// question sent uncompressed. Any other shape gets FORMERR, degraded
+// to a bare FORMERR when its question cannot be re-packed (appendPack).
+// These shapes are rare on a healthy wire, so allocating here is fine.
 func (r *Responder) slow(dst, raw []byte) []byte {
 	query, err := dnsbl.Unpack(raw)
 	if err != nil || query.Header.Response {
@@ -69,10 +68,9 @@ func appendFlatName(dst, raw []byte, off int) []byte {
 	}
 }
 
-// appendPack serializes a response onto dst, degrading like the legacy
-// server's mustPack: when the echoed question cannot survive the
-// dotted-string round trip, answer a bare FORMERR with no question
-// section rather than drop.
+// appendPack serializes a response onto dst. When the echoed question
+// cannot survive the dotted-string round trip, it answers a bare
+// FORMERR with no question section rather than drop.
 func appendPack(dst []byte, m *dnsbl.Message) []byte {
 	b, err := m.Pack()
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnsbl"
+	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/lifecycle"
 	"tasterschoice/internal/mta"
@@ -35,7 +36,14 @@ func TestStackDrainUnderLoad(t *testing.T) {
 	// Blacklist zone served over real UDP.
 	feed := feeds.New("uribl", feeds.KindBlacklist, false, false)
 	feed.ObserveOnce(simclock.PaperStart, "cheappills.com")
-	dnsblSrv := dnsbl.NewServer("uribl.test", dnsbl.FeedZone{Feed: feed})
+	plane, err := dnsblplane.New(dnsblplane.Config{Zones: []dnsblplane.ZoneConfig{{Suffix: "uribl.test"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plane.LoadFeed("uribl.test", feed); err != nil {
+		t.Fatal(err)
+	}
+	dnsblSrv := &dnsblplane.Server{Plane: plane}
 	dnsblAddr, err := dnsblSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

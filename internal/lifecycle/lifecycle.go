@@ -22,7 +22,7 @@ import (
 )
 
 // Server is anything that can drain gracefully. All pipeline servers
-// (smtpd.Server, dnsbl.Server, feedsync.Server, webhost.Server,
+// (smtpd.Server, dnsblplane.Server, feedsync.Server, webhost.Server,
 // mta.Server) satisfy it.
 type Server interface {
 	// Shutdown stops accepting new sessions and blocks until every

@@ -123,7 +123,7 @@ func checkLockScopes(pass *Pass, body *ast.BlockStmt) {
 		pass.Report(Diagnostic{
 			Pos: pos,
 			Message: fmt.Sprintf("%s while holding %s; blocking under a lock convoys every other "+
-				"goroutine needing it — unlock before parking (see overload.Queue.PopContext)", what, key),
+				"goroutine needing it — unlock before parking", what, key),
 		})
 	}
 

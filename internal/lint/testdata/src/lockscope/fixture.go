@@ -82,8 +82,8 @@ func (q *queue) badHelper() int {
 	return q.park() // want "call to queue.park, which can block while holding q.mu"
 }
 
-// okUnlockThenPark is the sanctioned overload.Queue.PopContext shape:
-// give the lock back before parking.
+// okUnlockThenPark is the sanctioned shape for a queue pop: give the
+// lock back before parking.
 func (q *queue) okUnlockThenPark() int {
 	q.mu.Lock()
 	if len(q.items) > 0 {

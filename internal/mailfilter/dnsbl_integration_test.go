@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnsbl"
+	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/mailmsg"
+	"tasterschoice/internal/obs"
 	"tasterschoice/internal/simclock"
 )
 
@@ -15,7 +17,15 @@ import (
 func TestFilterOverLiveDNSBL(t *testing.T) {
 	feed := feeds.New("uribl", feeds.KindBlacklist, false, false)
 	feed.ObserveOnce(simclock.PaperStart, "cheappills.com")
-	srv := dnsbl.NewServer("uribl.test", dnsbl.FeedZone{Feed: feed})
+	plane, err := dnsblplane.New(dnsblplane.Config{Zones: []dnsblplane.ZoneConfig{{Suffix: "uribl.test"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane.Metrics = dnsblplane.WireMetrics(obs.NewRegistry())
+	if _, err := plane.LoadFeed("uribl.test", feed); err != nil {
+		t.Fatal(err)
+	}
+	srv := &dnsblplane.Server{Plane: plane}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +52,7 @@ func TestFilterOverLiveDNSBL(t *testing.T) {
 	if v.Spam {
 		t.Fatalf("ham misclassified: %+v", v)
 	}
-	if srv.Queries() == 0 {
+	if plane.Metrics.Queries.Value() == 0 {
 		t.Fatal("no queries reached the server")
 	}
 }

@@ -196,7 +196,7 @@ func (e *Engine) Run() (res *Result, err error) {
 		chaffN = len(e.World.Benign)
 	}
 	if chaffN > 0 {
-		e.chaffZipf = randutil.NewZipf(e.chaffRng, e.Cfg.ChaffZipfS, chaffN)
+		e.chaffZipf = randutil.NewZipf(e.Cfg.ChaffZipfS, chaffN)
 	}
 	e.initExposures(root.SplitNamed("exposures"))
 

@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnsbl"
+	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/mailfilter"
 	"tasterschoice/internal/mailmsg"
+	"tasterschoice/internal/obs"
 	"tasterschoice/internal/simclock"
 )
 
@@ -140,7 +142,15 @@ func TestMTAFailsOpen(t *testing.T) {
 // TestMTAOverLiveDNSBL runs the complete production stack: SMTP in,
 // DNSBL lookups over UDP, spam rejected.
 func TestMTAOverLiveDNSBL(t *testing.T) {
-	bl := dnsbl.NewServer("dbl.test", dnsbl.FeedZone{Feed: blacklist()})
+	plane, err := dnsblplane.New(dnsblplane.Config{Zones: []dnsblplane.ZoneConfig{{Suffix: "dbl.test"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane.Metrics = dnsblplane.WireMetrics(obs.NewRegistry())
+	if _, err := plane.LoadFeed("dbl.test", blacklist()); err != nil {
+		t.Fatal(err)
+	}
+	bl := &dnsblplane.Server{Plane: plane}
 	blAddr, err := bl.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +177,7 @@ func TestMTAOverLiveDNSBL(t *testing.T) {
 	if st.Rejected != 2 {
 		t.Fatalf("stats over live DNSBL: %+v", st)
 	}
-	if bl.Queries() == 0 {
+	if plane.Metrics.Queries.Value() == 0 {
 		t.Fatal("no DNSBL queries issued")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnsbl"
+	"tasterschoice/internal/dnsblplane"
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/faultnet"
 	"tasterschoice/internal/feeds"
@@ -64,14 +65,19 @@ const chaosZone = "dbl.example"
 // startFloodTarget wires a queued, gated DNSBL server the way
 // cmd/dnsblserve -workers does, with a bulk-class rate low enough
 // that a flood is guaranteed to shed.
-func startFloodTarget(t *testing.T) (*dnsbl.Server, net.Addr, overload.GateMetrics) {
+func startFloodTarget(t *testing.T) (*dnsblplane.Server, net.Addr, overload.GateMetrics) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	gm := overload.NewGateMetrics(reg, "dnsbl")
-	srv := dnsbl.NewServer(chaosZone, dnsbl.FeedZone{Feed: chaosFeed(64)})
-	srv.Workers = 4
-	srv.QueueDepth = 64
-	srv.QueueMetrics = overload.NewQueueMetrics(reg, "dnsbl")
+	p, err := dnsblplane.New(dnsblplane.Config{Zones: []dnsblplane.ZoneConfig{{Suffix: chaosZone}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Metrics = dnsblplane.WireMetrics(reg)
+	if _, err := p.LoadFeed(chaosZone, chaosFeed(64)); err != nil {
+		t.Fatal(err)
+	}
+	srv := &dnsblplane.Server{Plane: p, Workers: 4, QueueDepth: 64}
 	srv.Admission = overload.NewGate(overload.GateConfig{
 		Rate:    [overload.NumPriorities]float64{overload.Bulk: 2000},
 		Burst:   [overload.NumPriorities]float64{overload.Bulk: 64},
@@ -210,8 +216,7 @@ func TestChaosOverloadDNSBLFloodGolden(t *testing.T) {
 			// Shedding must have engaged, or the "overload" was not one.
 			shed := int64(0)
 			for _, r := range []overload.ShedReason{
-				overload.ShedCapacity, overload.ShedRate,
-				overload.ShedFairness, overload.ShedDeadline,
+				overload.ShedCapacity, overload.ShedRate, overload.ShedFairness,
 			} {
 				shed += gm.Shed[overload.Bulk][r].Value()
 			}
@@ -281,7 +286,7 @@ func TestChaosOverloadDNSBLDrainMidFlood(t *testing.T) {
 	}()
 
 	// Let the flood actually land before pulling the plug.
-	for srv.Queries() == 0 {
+	for srv.Plane.Metrics.Queries.Value() == 0 {
 		wallSleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

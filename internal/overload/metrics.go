@@ -2,10 +2,10 @@ package overload
 
 import "tasterschoice/internal/obs"
 
-// ShedReason says why work was refused, as a metric label and as the
-// argument to queue shed callbacks so protocols can pick their reply
-// (a rate shed is the client's fault — REFUSED/tempfail — while a
-// capacity or deadline shed is the server's — SERVFAIL/try-later).
+// ShedReason says why work was refused, as a metric label and so
+// protocols can pick their reply (a rate or fairness shed is the
+// client's fault — REFUSED/tempfail — while a capacity shed is the
+// server's — SERVFAIL/try-later).
 type ShedReason int
 
 const (
@@ -15,9 +15,6 @@ const (
 	ShedRate
 	// ShedFairness: the client's fairness bucket ran dry.
 	ShedFairness
-	// ShedDeadline: the item waited past the CoDel target or the hard
-	// MaxSojourn queue deadline.
-	ShedDeadline
 	numShedReasons
 )
 
@@ -30,8 +27,6 @@ func (r ShedReason) String() string {
 		return "rate"
 	case ShedFairness:
 		return "fairness"
-	case ShedDeadline:
-		return "deadline"
 	default:
 		return "unknown"
 	}
@@ -85,45 +80,4 @@ func (m GateMetrics) shed(p Priority, reason ShedReason) {
 		reason = ShedCapacity
 	}
 	m.Shed[p][reason].Inc()
-}
-
-// QueueMetrics observes a bounded Queue: depth gauge, admitted
-// counter, shed counters by reason, and the admission-latency
-// (sojourn) histogram. The zero value is inert.
-type QueueMetrics struct {
-	// Depth gauges the current queue length.
-	Depth *obs.Gauge
-	// Admitted counts items delivered to a consumer.
-	Admitted *obs.Counter
-	// ShedByReason counts items shed, by reason (capacity at push,
-	// deadline at pop).
-	ShedByReason [numShedReasons]*obs.Counter
-	// SojournSeconds observes the queue wait of every delivered item —
-	// the admission-latency histogram overload tuning reads.
-	SojournSeconds *obs.Histogram
-}
-
-// NewQueueMetrics wires a QueueMetrics to r, prefixing every series
-// with name. Safe with a nil registry.
-func NewQueueMetrics(r *obs.Registry, name string) QueueMetrics {
-	var m QueueMetrics
-	m.Depth = r.Gauge(name + "_queue_depth")
-	m.Admitted = r.Counter(name + "_queue_admitted_total")
-	for reason := ShedReason(0); reason < numShedReasons; reason++ {
-		m.ShedByReason[reason] = r.Counter(name+"_queue_shed_total", "reason", reason.String())
-	}
-	m.SojournSeconds = r.Histogram(name+"_queue_sojourn_seconds", obs.DefSecondsBuckets)
-	r.Describe(name+"_queue_depth", "Items waiting in the work queue.")
-	r.Describe(name+"_queue_admitted_total", "Items delivered to a worker.")
-	r.Describe(name+"_queue_shed_total", "Items shed from the work queue, by reason.")
-	r.Describe(name+"_queue_sojourn_seconds", "Queue wait of delivered items.")
-	return m
-}
-
-// shed records one queue shed for the given reason.
-func (m QueueMetrics) shed(reason ShedReason) {
-	if reason < 0 || reason >= numShedReasons {
-		reason = ShedCapacity
-	}
-	m.ShedByReason[reason].Inc()
 }

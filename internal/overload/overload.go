@@ -1,8 +1,7 @@
 // Package overload is the serving plane's admission-control and
-// graceful-degradation layer: bounded work queues with CoDel-style
-// queue-deadline shedding, token-bucket rate limits, per-client
-// fairness buckets, priority classes, and deadline-propagation
-// helpers.
+// graceful-degradation layer: token-bucket rate limits, per-client
+// fairness buckets, priority classes, and the shed taxonomy that maps
+// a refusal onto each protocol's cheap "try later" reply.
 //
 // The paper's real-world counterparts — the dbl/uribl blacklist zones,
 // the MX honeypots — survive because they keep answering under
@@ -11,8 +10,9 @@
 // *shedding*, not queuing, preserves service: a server that accepts
 // unbounded work degrades for everyone at once, while one that sheds
 // the excess cheaply keeps latency bounded for the traffic it accepts.
-// This package centralizes the shed policy so dnsbl, smtpd, feedsync,
-// webhost and the distsweep coordinator all degrade the same way.
+// This package centralizes the shed policy so dnsblplane, smtpd,
+// feedsync, webhost and the distsweep coordinator all degrade the same
+// way.
 //
 // Determinism: nothing here consumes ambient randomness or hidden
 // clocks. Every decision is a pure function of the injected Clock and
@@ -241,16 +241,4 @@ func (g *Gate) Admit(p Priority, client string) (release func(), ok bool) {
 			g.mu.Unlock()
 		})
 	}, true
-}
-
-// Pressure returns the gate's load as a fraction of MaxConcurrent in
-// [0, 1] (0 when unlimited): protocols that tempfail under pressure
-// rather than shedding whole sessions key off this.
-func (g *Gate) Pressure() float64 {
-	if g == nil || g.cfg.MaxConcurrent <= 0 {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return float64(g.inflight) / float64(g.cfg.MaxConcurrent)
 }

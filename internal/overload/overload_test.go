@@ -1,9 +1,7 @@
 package overload
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -32,114 +30,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
-}
-
-func TestCoDelBurstRidesThrough(t *testing.T) {
-	cfg := CoDelConfig{Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond, MaxSojourn: -1}
-	c := NewCoDel(cfg)
-	now := time.Unix(0, 0)
-	// Sojourn above target, but for less than a full interval: a burst,
-	// not a standing queue. Nothing sheds.
-	for i := 0; i < 9; i++ {
-		now = now.Add(10 * time.Millisecond)
-		if c.OnDequeue(now, 20*time.Millisecond, false) {
-			t.Fatalf("shed during burst at step %d", i)
-		}
-	}
-}
-
-func TestCoDelShedsStandingQueue(t *testing.T) {
-	cfg := CoDelConfig{Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond, MaxSojourn: -1}
-	c := NewCoDel(cfg)
-	now := time.Unix(0, 0)
-	shed := 0
-	// Sojourn pinned above target for well over an interval: a dropping
-	// episode must open and pace drops at Interval/sqrt(n).
-	for i := 0; i < 200; i++ {
-		now = now.Add(5 * time.Millisecond)
-		if c.OnDequeue(now, 50*time.Millisecond, false) {
-			shed++
-		}
-	}
-	if shed == 0 {
-		t.Fatal("standing queue above target never shed")
-	}
-	// 200 steps * 5ms = 1s of standing delay. Drop pacing sums
-	// Interval/sqrt(n); after ~900ms of episode roughly sqrt-law drops.
-	if shed < 5 || shed > 150 {
-		t.Fatalf("shed count %d outside plausible control-law range", shed)
-	}
-}
-
-func TestCoDelDeterministicReplay(t *testing.T) {
-	cfg := CoDelConfig{Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond}
-	run := func() []bool {
-		c := NewCoDel(cfg)
-		now := time.Unix(0, 0)
-		var out []bool
-		for i := 0; i < 500; i++ {
-			now = now.Add(3 * time.Millisecond)
-			// Deterministic sawtooth of sojourns around target.
-			soj := time.Duration((i%17)+1) * 2 * time.Millisecond
-			out = append(out, c.OnDequeue(now, soj, i%23 == 0))
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replay diverged at step %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestCoDelNeverShedsLastItem(t *testing.T) {
-	cfg := CoDelConfig{Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond, MaxSojourn: -1}
-	c := NewCoDel(cfg)
-	now := time.Unix(0, 0)
-	// Drive it deep into a dropping episode…
-	for i := 0; i < 100; i++ {
-		now = now.Add(5 * time.Millisecond)
-		c.OnDequeue(now, 50*time.Millisecond, false)
-	}
-	// …then the last item must still be delivered.
-	now = now.Add(5 * time.Millisecond)
-	if c.OnDequeue(now, 50*time.Millisecond, true) {
-		t.Fatal("shed the last item without a hard deadline")
-	}
-}
-
-func TestCoDelMaxSojournShedsEvenLast(t *testing.T) {
-	cfg := CoDelConfig{Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond, MaxSojourn: 50 * time.Millisecond}
-	c := NewCoDel(cfg)
-	now := time.Unix(0, 0)
-	if !c.OnDequeue(now, 51*time.Millisecond, true) {
-		t.Fatal("item past the hard queue deadline was not shed")
-	}
-	if c.OnDequeue(now, 49*time.Millisecond, true) {
-		t.Fatal("last item under the deadline was shed")
-	}
-}
-
-func TestCoDelDefaultMaxSojourn(t *testing.T) {
-	cfg := CoDelConfig{Target: 5 * time.Millisecond}
-	if got, want := cfg.maxSojourn(), 50*time.Millisecond; got != want {
-		t.Fatalf("default MaxSojourn = %v, want 10×Target = %v", got, want)
-	}
-	if got := (CoDelConfig{MaxSojourn: -1}).maxSojourn(); got != 0 {
-		t.Fatalf("negative MaxSojourn should disable, got %v", got)
-	}
-}
-
-func TestCoDelControlLawPacing(t *testing.T) {
-	c := NewCoDel(CoDelConfig{Interval: 100 * time.Millisecond})
-	c.dropCount = 4
-	base := time.Unix(0, 0)
-	got := c.controlLaw(base).Sub(base)
-	want := time.Duration(float64(100*time.Millisecond) / math.Sqrt(4))
-	if got != want {
-		t.Fatalf("controlLaw(n=4) = %v, want %v", got, want)
-	}
 }
 
 func TestTokenBucketRefill(t *testing.T) {
@@ -295,9 +185,6 @@ func TestGatePriorityHeadroom(t *testing.T) {
 	if got := g.InFlight(); got != 20 {
 		t.Fatalf("InFlight = %d, want 20", got)
 	}
-	if p := g.Pressure(); p != 1 {
-		t.Fatalf("Pressure = %v, want 1", p)
-	}
 	for _, rel := range releases {
 		rel()
 	}
@@ -329,7 +216,7 @@ func TestNilGateAdmitsEverything(t *testing.T) {
 	if !g.Allow(Bulk, "c") {
 		t.Fatal("nil gate Allow refused")
 	}
-	if g.InFlight() != 0 || g.Pressure() != 0 {
+	if g.InFlight() != 0 {
 		t.Fatal("nil gate reports load")
 	}
 }
@@ -384,174 +271,6 @@ func TestGateMetricsObserve(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOAndDrain(t *testing.T) {
-	clk := newFakeClock()
-	q := NewQueue[int](10, CoDelConfig{}, clk.Now, nil)
-	for i := 0; i < 3; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d refused", i)
-		}
-	}
-	q.Close()
-	if q.Push(99) {
-		t.Fatal("push admitted after Close")
-	}
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		v, ok := q.PopContext(ctx)
-		if !ok || v != i {
-			t.Fatalf("pop %d = (%v, %v), want (%d, true)", i, v, ok, i)
-		}
-	}
-	if _, ok := q.PopContext(ctx); ok {
-		t.Fatal("pop on drained closed queue returned ok")
-	}
-}
-
-func TestQueueBoundedShed(t *testing.T) {
-	clk := newFakeClock()
-	var sheds []ShedReason
-	q := NewQueue[int](2, CoDelConfig{}, clk.Now, func(_ int, r ShedReason) {
-		sheds = append(sheds, r)
-	})
-	q.Push(1)
-	q.Push(2)
-	if q.Push(3) {
-		t.Fatal("push past bound admitted")
-	}
-	if len(sheds) != 1 || sheds[0] != ShedCapacity {
-		t.Fatalf("sheds = %v, want [capacity]", sheds)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-}
-
-func TestQueuePopBlocksUntilPush(t *testing.T) {
-	clk := newFakeClock()
-	q := NewQueue[int](10, CoDelConfig{}, clk.Now, nil)
-	got := make(chan int, 1)
-	go func() {
-		v, ok := q.PopContext(context.Background())
-		if ok {
-			got <- v
-		}
-	}()
-	q.Push(7)
-	if v := <-got; v != 7 {
-		t.Fatalf("popped %d, want 7", v)
-	}
-}
-
-func TestQueuePopContextCancel(t *testing.T) {
-	clk := newFakeClock()
-	q := NewQueue[int](10, CoDelConfig{}, clk.Now, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := q.PopContext(ctx)
-		done <- ok
-	}()
-	cancel()
-	if ok := <-done; ok {
-		t.Fatal("cancelled pop returned ok")
-	}
-}
-
-func TestQueueDeadlineShed(t *testing.T) {
-	clk := newFakeClock()
-	var sheds []ShedReason
-	q := NewQueue[int](10, CoDelConfig{Target: 5 * time.Millisecond, MaxSojourn: 50 * time.Millisecond},
-		clk.Now, func(_ int, r ShedReason) { sheds = append(sheds, r) })
-	q.Push(1)
-	q.Push(2)
-	// Both items age past the hard queue deadline. Both are shed; the
-	// closed+drained queue then reports ok=false rather than blocking.
-	clk.Advance(time.Second)
-	q.Close()
-	if _, ok := q.PopContext(context.Background()); ok {
-		t.Fatal("stale item delivered past hard deadline")
-	}
-	if len(sheds) != 2 {
-		t.Fatalf("sheds = %v, want two deadline sheds", sheds)
-	}
-	for _, r := range sheds {
-		if r != ShedDeadline {
-			t.Fatalf("shed reason = %v, want deadline", r)
-		}
-	}
-}
-
-func TestQueueMetricsObserve(t *testing.T) {
-	clk := newFakeClock()
-	r := obs.NewRegistry()
-	q := NewQueue[int](1, CoDelConfig{}, clk.Now, nil)
-	m := NewQueueMetrics(r, "test")
-	q.SetMetrics(m)
-	q.Push(1)
-	q.Push(2) // shed: capacity
-	v, ok := q.PopContext(context.Background())
-	if !ok || v != 1 {
-		t.Fatalf("pop = (%v, %v)", v, ok)
-	}
-	if got := m.Admitted.Value(); got != 1 {
-		t.Fatalf("admitted = %d, want 1", got)
-	}
-	if got := m.ShedByReason[ShedCapacity].Value(); got != 1 {
-		t.Fatalf("capacity sheds = %d, want 1", got)
-	}
-	if got := m.SojournSeconds.Count(); got != 1 {
-		t.Fatalf("sojourn observations = %d, want 1", got)
-	}
-	if got := m.Depth.Value(); got != 0 {
-		t.Fatalf("depth gauge = %d, want 0", got)
-	}
-}
-
-func TestClip(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	parent, cancel := context.WithDeadline(context.Background(), now.Add(time.Second))
-	defer cancel()
-	ctx, cancel2 := Clip(parent, now, 100*time.Millisecond)
-	defer cancel2()
-	d, ok := ctx.Deadline()
-	if !ok || !d.Equal(now.Add(100*time.Millisecond)) {
-		t.Fatalf("clipped deadline = %v, want now+100ms", d)
-	}
-	// Parent sooner than budget: parent wins.
-	ctx2, cancel3 := Clip(parent, now, time.Hour)
-	defer cancel3()
-	d2, _ := ctx2.Deadline()
-	if !d2.Equal(now.Add(time.Second)) {
-		t.Fatalf("clip kept later deadline %v over parent's", d2)
-	}
-	// Non-positive budget: already expired.
-	ctx3, cancel4 := Clip(context.Background(), now, 0)
-	defer cancel4()
-	d3, ok := ctx3.Deadline()
-	if !ok || d3.After(now) {
-		t.Fatalf("zero budget deadline = %v, want <= now", d3)
-	}
-}
-
-func TestRemaining(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	if got := Remaining(context.Background(), now, time.Second); got != time.Second {
-		t.Fatalf("no-deadline Remaining = %v, want fallback", got)
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), now.Add(300*time.Millisecond))
-	defer cancel()
-	if got := Remaining(ctx, now, time.Second); got != 300*time.Millisecond {
-		t.Fatalf("Remaining = %v, want 300ms", got)
-	}
-	if got := Remaining(ctx, now.Add(time.Second), time.Second); got != 0 {
-		t.Fatalf("expired Remaining = %v, want 0", got)
-	}
-	if got := Remaining(ctx, now, 100*time.Millisecond); got != 100*time.Millisecond {
-		t.Fatalf("Remaining clamp = %v, want fallback 100ms", got)
-	}
-}
-
 func TestGateConcurrentAdmitRace(t *testing.T) {
 	// Hammer Admit/release from many goroutines under the wall-free
 	// fake clock; -race plus the InFlight invariant catches accounting
@@ -577,50 +296,5 @@ func TestGateConcurrentAdmitRace(t *testing.T) {
 	wg.Wait()
 	if got := g.InFlight(); got != 0 {
 		t.Fatalf("InFlight after drain = %d, want 0", got)
-	}
-}
-
-func TestQueueConcurrentProducersConsumers(t *testing.T) {
-	clk := newFakeClock()
-	q := NewQueue[int](128, CoDelConfig{MaxSojourn: -1}, clk.Now, nil)
-	const producers, perProducer, consumers = 8, 100, 4
-	var wg sync.WaitGroup
-	var pushed, popped int64
-	var mu sync.Mutex
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				if q.Push(i) {
-					mu.Lock()
-					pushed++
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	done := make(chan struct{})
-	var cwg sync.WaitGroup
-	for c := 0; c < consumers; c++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			for {
-				if _, ok := q.PopContext(context.Background()); !ok {
-					return
-				}
-				mu.Lock()
-				popped++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	q.Close()
-	cwg.Wait()
-	close(done)
-	if pushed != popped {
-		t.Fatalf("pushed %d != popped %d (no sheds configured to lose items)", pushed, popped)
 	}
 }

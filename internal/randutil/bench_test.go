@@ -37,12 +37,12 @@ func BenchmarkPoissonLarge(b *testing.B) {
 	}
 }
 
-func BenchmarkZipfNext(b *testing.B) {
+func BenchmarkZipfNextWith(b *testing.B) {
 	r := New(1)
-	z := NewZipf(r, 1.1, 20000)
+	z := NewZipf(1.1, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = z.Next()
+		_ = z.NextWith(r)
 	}
 }
 

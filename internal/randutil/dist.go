@@ -8,15 +8,15 @@ import (
 
 // Zipf samples integers in [0, n) with probability proportional to
 // 1/(k+1)^s, using precomputed cumulative weights with binary-search
-// inversion. It is deterministic given its RNG and cheap for the sizes
-// the simulation uses (n up to a few hundred thousand).
+// inversion. It holds no generator: each draw takes the caller's, so
+// it is deterministic given that RNG. It is cheap for the sizes the
+// simulation uses (n up to a few hundred thousand).
 type Zipf struct {
-	rng *RNG
 	cum []float64 // cumulative probabilities, cum[n-1] == 1
 }
 
 // NewZipf returns a Zipf sampler over [0, n) with exponent s > 0.
-func NewZipf(rng *RNG, s float64, n int) *Zipf {
+func NewZipf(s float64, n int) *Zipf {
 	if n <= 0 {
 		panic(fmt.Sprintf("randutil: NewZipf with n=%d", n))
 	}
@@ -33,22 +33,15 @@ func NewZipf(rng *RNG, s float64, n int) *Zipf {
 		cum[k] /= total
 	}
 	cum[n-1] = 1 // guard against rounding
-	return &Zipf{rng: rng, cum: cum}
+	return &Zipf{cum: cum}
 }
 
 // N returns the size of the sampler's support.
 func (z *Zipf) N() int { return len(z.cum) }
 
-// Next returns the next Zipf-distributed value in [0, n).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	return sort.SearchFloat64s(z.cum, u)
-}
-
-// NextWith draws from the distribution using an external generator,
-// leaving the sampler's own stream untouched. The precomputed weight
-// table is read-only, so one sampler may serve many worker-owned
-// generators concurrently.
+// NextWith draws the next Zipf-distributed value in [0, n) from rng.
+// The precomputed weight table is read-only, so one sampler may serve
+// many worker-owned generators concurrently.
 func (z *Zipf) NextWith(rng *RNG) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(z.cum, u)

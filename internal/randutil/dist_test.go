@@ -8,12 +8,12 @@ import (
 
 func TestZipfRange(t *testing.T) {
 	r := New(1)
-	z := NewZipf(r, 1.1, 50)
+	z := NewZipf(1.1, 50)
 	if z.N() != 50 {
 		t.Fatalf("N() = %d", z.N())
 	}
 	for i := 0; i < 10000; i++ {
-		v := z.Next()
+		v := z.NextWith(r)
 		if v < 0 || v >= 50 {
 			t.Fatalf("Zipf value %d out of range", v)
 		}
@@ -22,11 +22,11 @@ func TestZipfRange(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := New(2)
-	z := NewZipf(r, 1.2, 100)
+	z := NewZipf(1.2, 100)
 	counts := make([]int, 100)
 	const trials = 100000
 	for i := 0; i < trials; i++ {
-		counts[z.Next()]++
+		counts[z.NextWith(r)]++
 	}
 	// Rank 0 must dominate rank 10 which must dominate rank 90.
 	if counts[0] <= counts[10] || counts[10] <= counts[90] {
@@ -41,7 +41,7 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestZipfProbSumsToOne(t *testing.T) {
-	z := NewZipf(New(3), 0.9, 200)
+	z := NewZipf(0.9, 200)
 	sum := 0.0
 	for k := 0; k < 200; k++ {
 		sum += z.Prob(k)
