@@ -10,6 +10,7 @@ import (
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/randutil"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/symtab"
 )
 
 // Generate builds a complete deterministic world from the config.
@@ -20,10 +21,11 @@ func Generate(cfg Config) (*World, error) {
 	w := &World{
 		Config:   cfg,
 		Registry: dnszone.NewPaperRegistry(),
+		Syms:     symtab.New(),
 		index:    make(map[domain.Name]*DomainInfo),
 	}
 	root := randutil.New(cfg.Seed)
-	names := newNameGen(root.SplitNamed("names"))
+	names := newNameGen(root.SplitNamed("names"), w.Syms)
 
 	w.genPrograms(root.SplitNamed("programs"))
 	w.genAffiliates(root.SplitNamed("affiliates"))
@@ -31,7 +33,6 @@ func Generate(cfg Config) (*World, error) {
 	w.genObscure(root.SplitNamed("obscure"), names)
 	w.genBotnets(root.SplitNamed("botnets"))
 	w.genCampaigns(root.SplitNamed("campaigns"), names)
-	w.EnsureSyms()
 	return w, nil
 }
 
@@ -125,11 +126,13 @@ func (w *World) genBenign(rng *randutil.RNG, names *nameGen) {
 	w.Benign = make([]BenignDomain, n)
 	regStart := cfg.Window.Start
 	for i := 0; i < n; i++ {
-		d := names.Benign()
+		d, sym := names.Benign()
 		w.Benign[i] = BenignDomain{
-			Name:  d,
-			Rank:  i,
-			Alexa: i < cfg.AlexaTopN,
+			Name:   d,
+			Rank:   i,
+			Alexa:  i < cfg.AlexaTopN,
+			Sym:    sym,
+			URLSym: w.Syms.AutoURL(sym),
 		}
 		// Registered long before the measurement window.
 		w.Registry.Register(d, regStart.AddDate(0, 0, -(100+rng.Intn(2900))))
@@ -169,8 +172,9 @@ func (w *World) genBenign(rng *randutil.RNG, names *nameGen) {
 func (w *World) genObscure(rng *randutil.RNG, names *nameGen) {
 	regStart := w.Config.Window.Start
 	for i := 0; i < w.Config.ObscureRegistered; i++ {
-		d := names.Obscure()
+		d, sym := names.Obscure()
 		w.Obscure = append(w.Obscure, d)
+		w.ObscureSyms = append(w.ObscureSyms, sym)
 		w.Registry.Register(d, regStart.AddDate(0, 0, -(30+rng.Intn(2000))))
 		w.index[d] = &DomainInfo{
 			Kind:       KindObscure,
@@ -270,10 +274,11 @@ func (w *World) addAdDomain(rng *randutil.RNG, names *nameGen, c *Campaign,
 		ad.Redirector = true
 		ad.Alive = true
 		ad.Name = w.redirectors[rng.Intn(len(w.redirectors))]
+		ad.Sym = w.Syms.Intern(string(ad.Name))
 	default:
 		ad.Landing = rng.Bool(cfg.LandingAdFrac)
 		ad.Alive = rng.Bool(aliveProb)
-		ad.Name = names.Spam()
+		ad.Name, ad.Sym = names.Spam()
 		reg := slot.Start.Add(-dayDur(1 + rng.ExpFloat64()*4))
 		w.Registry.Register(ad.Name, reg)
 		if rng.Bool(0.8) {
@@ -294,6 +299,7 @@ func (w *World) addAdDomain(rng *randutil.RNG, names *nameGen, c *Campaign,
 			BenignRank: -1,
 		}
 	}
+	ad.URLSym = w.Syms.Intern(AdURL(c, ad))
 	c.Domains = append(c.Domains, ad)
 }
 
@@ -462,15 +468,17 @@ func (w *World) genCampaigns(rng *randutil.RNG, names *nameGen) {
 			kind = KindStorefront
 		}
 		c := newCampaign(affiliate, program, ClassWebOnly, -1, start, end, 0)
-		name := names.Spam()
+		name, sym := names.Spam()
 		registered := webRng.Bool(cfg.WebOnlyRegisteredProb) || kind == KindStorefront
 		alive := registered && webRng.Bool(cfg.WebOnlyAliveProb)
 		if registered {
 			w.Registry.Register(name, start.Add(-dayDur(1+webRng.ExpFloat64()*10)))
 		}
-		c.Domains = append(c.Domains, AdDomain{
-			Name: name, Start: start, End: end, Weight: 1, Alive: alive,
-		})
+		ad := AdDomain{
+			Name: name, Start: start, End: end, Weight: 1, Alive: alive, Sym: sym,
+		}
+		ad.URLSym = w.Syms.Intern(AdURL(c, ad))
+		c.Domains = append(c.Domains, ad)
 		w.index[name] = &DomainInfo{
 			Kind:       kind,
 			Campaign:   c.ID,

@@ -5,6 +5,7 @@ import (
 
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/randutil"
+	"tasterschoice/internal/symtab"
 )
 
 // Word lists used to synthesize plausible domain and program names.
@@ -46,30 +47,34 @@ var (
 	benignTLDWeight = []float64{0.55, 0.15, 0.12, 0.05, 0.02, 0.05, 0.03, 0.03}
 )
 
-// nameGen produces unique domain names of various flavors.
+// nameGen produces unique domain names of various flavors. It tests
+// uniqueness by interning into the world's symbol table: a name is
+// new exactly when interning it grew the table. No generated name
+// contains "://", so none can collide with an interned URL.
 type nameGen struct {
 	rng       *randutil.RNG
 	spamTLD   *randutil.WeightedChoice
 	benignTLD *randutil.WeightedChoice
-	used      map[domain.Name]bool
+	syms      *symtab.Table
 }
 
-func newNameGen(rng *randutil.RNG) *nameGen {
+func newNameGen(rng *randutil.RNG, syms *symtab.Table) *nameGen {
 	return &nameGen{
 		rng:       rng,
 		spamTLD:   randutil.NewWeightedChoice(rng.SplitNamed("spamtld"), spamTLDWeights),
 		benignTLD: randutil.NewWeightedChoice(rng.SplitNamed("benigntld"), benignTLDWeight),
-		used:      make(map[domain.Name]bool),
+		syms:      syms,
 	}
 }
 
-// unique retries gen until it produces an unused name.
-func (g *nameGen) unique(gen func() domain.Name) domain.Name {
+// unique retries gen until it produces an unused name, and returns the
+// name with its freshly assigned symbol ID.
+func (g *nameGen) unique(gen func() domain.Name) (domain.Name, symtab.ID) {
 	for i := 0; ; i++ {
 		d := gen()
-		if !g.used[d] {
-			g.used[d] = true
-			return d
+		n := g.syms.Len()
+		if id := g.syms.Intern(string(d)); g.syms.Len() > n {
+			return d, id
 		}
 		if i > 10000 {
 			panic("ecosystem: name space exhausted")
@@ -77,9 +82,9 @@ func (g *nameGen) unique(gen func() domain.Name) domain.Name {
 	}
 }
 
-// Spam returns a fresh spammy-looking registered domain:
-// word+word+optional digits over a spam-weighted TLD mix.
-func (g *nameGen) Spam() domain.Name {
+// Spam returns a fresh spammy-looking registered domain and its symbol
+// ID: word+word+optional digits over a spam-weighted TLD mix.
+func (g *nameGen) Spam() (domain.Name, symtab.ID) {
 	return g.unique(func() domain.Name {
 		a := spamWordsA[g.rng.Intn(len(spamWordsA))]
 		b := spamWordsB[g.rng.Intn(len(spamWordsB))]
@@ -92,8 +97,8 @@ func (g *nameGen) Spam() domain.Name {
 	})
 }
 
-// Benign returns a fresh legitimate-looking domain.
-func (g *nameGen) Benign() domain.Name {
+// Benign returns a fresh legitimate-looking domain and its symbol ID.
+func (g *nameGen) Benign() (domain.Name, symtab.ID) {
 	return g.unique(func() domain.Name {
 		a := benignWords[g.rng.Intn(len(benignWords))]
 		b := benignWords[g.rng.Intn(len(benignWords))]
@@ -110,8 +115,8 @@ func (g *nameGen) Benign() domain.Name {
 }
 
 // Obscure returns a fresh random-string registered domain — the kind a
-// random generator can collide with.
-func (g *nameGen) Obscure() domain.Name {
+// random generator can collide with — and its symbol ID.
+func (g *nameGen) Obscure() (domain.Name, symtab.ID) {
 	return g.unique(func() domain.Name {
 		return domain.Name(g.rng.AlphaNum(6+g.rng.Intn(6)) + ".com")
 	})

@@ -189,8 +189,9 @@ type AdDomain struct {
 	// the crawler visited (dead sites fail the HTTP liveness check).
 	Alive bool
 	// Sym and URLSym are the interned IDs of Name and of the slot's
-	// advertised URL (AdURL) in World.Syms, assigned by EnsureSyms so
-	// the per-message hot path never touches the strings.
+	// advertised URL (AdURL) in World.Syms, assigned as Generate
+	// creates the slot so the per-message hot path never touches the
+	// strings.
 	Sym    symtab.ID
 	URLSym symtab.ID
 }

@@ -87,45 +87,17 @@ type World struct {
 	// Registry records all domain registrations for zone-file checks.
 	Registry *dnszone.Registry
 
-	// Syms is the world's shared symbol table: every generated domain
-	// and advertised URL is interned here (EnsureSyms), and the
-	// collection engine threads the IDs end-to-end so per-message code
-	// never re-hashes a string. Engines also intern their synthesized
-	// junk/poison names into it, always from serial code, keeping ID
-	// assignment deterministic for every worker count.
+	// Syms is the world's shared symbol table: Generate interns every
+	// generated domain as it is minted, followed by its URL (AutoURL
+	// for a benign domain, AdURL for an ad slot), and the collection
+	// engine threads the IDs end-to-end so per-message code never
+	// re-hashes a string. Engines then intern their synthesized
+	// junk/poison names into it on one goroutine, in a fixed order,
+	// keeping ID assignment deterministic for every worker count.
 	Syms *symtab.Table
 
 	index       map[domain.Name]*DomainInfo
 	redirectors []domain.Name
-}
-
-// EnsureSyms interns every generated domain (and derived URL) into
-// w.Syms in a fixed order: benign, obscure, then campaign slots. It is
-// idempotent; Generate calls it, and engines call it again to cover
-// hand-assembled test worlds.
-func (w *World) EnsureSyms() {
-	if w.Syms != nil {
-		return
-	}
-	tab := symtab.New()
-	for i := range w.Benign {
-		b := &w.Benign[i]
-		b.Sym = tab.Intern(string(b.Name))
-		b.URLSym = tab.AutoURL(b.Sym)
-	}
-	w.ObscureSyms = make([]symtab.ID, len(w.Obscure))
-	for i, d := range w.Obscure {
-		w.ObscureSyms[i] = tab.Intern(string(d))
-	}
-	for ci := range w.Campaigns {
-		c := &w.Campaigns[ci]
-		for si := range c.Domains {
-			slot := &c.Domains[si]
-			slot.Sym = tab.Intern(string(slot.Name))
-			slot.URLSym = tab.Intern(AdURL(c, *slot))
-		}
-	}
-	w.Syms = tab
 }
 
 // Info returns ground truth for a domain. ok is false for names the

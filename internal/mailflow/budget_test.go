@@ -10,7 +10,7 @@ import (
 )
 
 // datasetBuildBudget is the most heap allocations one collection run
-// over the seed-2010 default-scale world may make. A run makes ~47k,
+// over the seed-2010 default-scale world may make. A run makes ~35k,
 // far fewer than the observations it records: the engine works on
 // interned symbol IDs and columnar batches. A string built per
 // message or per observation would blow the budget many times over.

@@ -3,6 +3,7 @@ package mailflow
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"tasterschoice/internal/ecosystem"
@@ -85,7 +86,9 @@ const planChunkSize = 1024
 // campaign's private RNG stream; the engine replays the buffered feed
 // observations serially in campaign ID order, then drains the queued
 // webmail batches through per-domain chains sharded across workers
-// (see webmail.go). Because work is assigned by campaign ID and domain
+// (see webmail.go). Meanwhile one goroutine interns and buffers the
+// junk and poison streams (see mint), which the engine replays after
+// the campaigns. Because work is assigned by campaign ID and domain
 // hash — pure functions of the input, never of timing — the output is
 // byte-identical for every Config.Workers value and GOMAXPROCS
 // setting; the golden tests pin this down.
@@ -110,7 +113,8 @@ type Engine struct {
 	res                *Result
 	wm                 *webmail
 	// syms is the world's shared symbol table; every domain and URL
-	// the engine touches is interned here, always from serial code.
+	// the engine touches is interned here, by generation or by the
+	// mint goroutine (see mint).
 	syms *symtab.Table
 	// feedArr holds the feeds in FeedNames order for indexed replay.
 	feedArr [fHyb + 1]*feeds.Feed
@@ -122,10 +126,9 @@ type Engine struct {
 	chaffZipf *randutil.Zipf
 
 	// planBufs is the pool of reusable campaign plans (one per chunk
-	// slot); nameBuf and timesBuf are scratch for the serial junk and
-	// poison phases.
+	// slot); timesBuf is scratch for the phases on the Run goroutine
+	// (the mint goroutine has its own).
 	planBufs []*campaignPlan
-	nameBuf  []byte
 	timesBuf []int64
 }
 
@@ -155,7 +158,6 @@ func (e *Engine) Run() (res *Result, err error) {
 	if err := e.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e.World.EnsureSyms()
 	e.syms = e.World.Syms
 	e.winStartN = e.window.Start.UnixNano()
 	e.winEndN = e.window.End.UnixNano()
@@ -183,13 +185,28 @@ func (e *Engine) Run() (res *Result, err error) {
 		f.Bind(e.syms)
 		e.feedArr[i] = f
 	}
+	root := randutil.New(e.Cfg.Seed)
+
+	// The junk and poison names are interned on one goroutine while
+	// campaigns are planned; Run waits for it on every return path.
+	var m minted
+	var minting sync.WaitGroup
+	minting.Add(1)
+	hpjunk, poison, hujunk := root.SplitNamed("hpjunk"), root.SplitNamed("poison"), root.SplitNamed("hujunk")
+	go func() {
+		defer minting.Done()
+		sp := e.Tracer.Start("mint")
+		e.mint(&m, hpjunk, poison, hujunk)
+		sp.End()
+	}()
+	defer minting.Wait()
+
 	e.wm = newWebmail(&e.Cfg, e.window, e.res.Feed("Hu"), e.res.Oracle)
 	e.wm.chaffWith = func(rng *randutil.RNG) (symtab.ID, bool) {
 		d, _, ok := e.chaffIDWith(rng)
 		return d, ok
 	}
 
-	root := randutil.New(e.Cfg.Seed)
 	e.chaffRng = root.SplitNamed("chaff")
 	chaffN := e.Cfg.ChaffTopN
 	if chaffN <= 0 || chaffN > len(e.World.Benign) {
@@ -203,9 +220,10 @@ func (e *Engine) Run() (res *Result, err error) {
 	e.phase("observeCampaigns", func() { e.observeCampaigns(parallel.Workers(e.Cfg.Workers)) })
 
 	e.phase("typoTraffic", func() { e.typoTraffic(root.SplitNamed("typos")) })
-	e.phase("honeypotJunk", func() { e.honeypotJunk(root.SplitNamed("hpjunk")) })
-	e.phase("poison", func() { e.poison(root.SplitNamed("poison")) })
-	e.phase("huJunk", func() { e.huJunk(root.SplitNamed("hujunk")) })
+	minting.Wait()
+	e.phase("honeypotJunk", func() { e.replay(m.honeypot) })
+	e.phase("poison", func() { e.replay(m.poison) })
+	e.phase("huJunk", func() { e.replay(m.hu) })
 	e.phase("blacklistJunk", func() { e.blacklistJunk(root.SplitNamed("bljunk")) })
 	e.phase("benignBaseline", e.benignBaseline)
 	e.phase("restrictBlacklists", e.restrictBlacklists)
@@ -445,15 +463,59 @@ func (e *Engine) typoTraffic(rng *randutil.RNG) {
 	}
 }
 
-// honeypotJunk adds each honeypot-style feed's trickle of one-off
+// minted holds the observations the mint goroutine draws. It is the
+// only interning after generation: the honeypot junk, the Bot and mx2
+// poison and the Hu junk, each from its own named stream, interned as
+// drawn, in that order. Run replays the buffered runs with ObserveID
+// where the three phases observed directly before, so every feed sees
+// the same observation order and the table the same intern order.
+type minted struct {
+	honeypot, poison, hu []mintRun
+	// nameBuf and times are the goroutine's own scratch.
+	nameBuf []byte
+	times   []int64
+}
+
+// mintRun is one feed's minted observations, in draw order.
+type mintRun struct {
+	feed uint8
+	obs  []mintedObs
+}
+
+// mintedObs is one buffered observation: packed time, interned domain
+// and URL.
+type mintedObs struct {
+	t      int64
+	d, url symtab.ID
+}
+
+// mint fills m. It reads only e.Cfg, e.window, e.World and e.syms, and
+// touches no feed and no metric, so it runs beside campaign planning.
+func (e *Engine) mint(m *minted, hpjunk, poison, hujunk *randutil.RNG) {
+	e.honeypotJunk(m, hpjunk)
+	e.poison(m, poison)
+	e.huJunk(m, hujunk)
+}
+
+// replay observes minted runs in order.
+func (e *Engine) replay(runs []mintRun) {
+	for _, r := range runs {
+		f := e.feedArr[r.feed]
+		for _, o := range r.obs {
+			f.ObserveID(o.t, o.d, o.url)
+		}
+	}
+}
+
+// honeypotJunk draws each honeypot-style feed's trickle of one-off
 // junk domains (misparsed URLs, garbage hostnames in spam).
-func (e *Engine) honeypotJunk(rng *randutil.RNG) {
+func (e *Engine) honeypotJunk(m *minted, rng *randutil.RNG) {
 	days := e.window.Duration().Hours() / 24
-	for _, name := range []string{"mx1", "mx2", "mx3", "Ac1", "Ac2"} {
+	for _, fi := range [5]uint8{fMx1, fMx2, fMx3, fAc1, fAc2} {
 		n := rng.Poisson(e.Cfg.HoneypotJunkPerDay * days)
-		f := e.res.Feed(name)
-		e.timesBuf = uniformTimesNanos(rng, e.window, n, e.timesBuf[:0])
-		for _, t := range e.timesBuf {
+		m.times = uniformTimesNanos(rng, e.window, n, m.times[:0])
+		run := mintRun{feed: fi, obs: make([]mintedObs, 0, n)}
+		for _, t := range m.times {
 			// Mostly garbage hostnames; occasionally a real but
 			// obscure registered domain (mis-scraped signatures,
 			// stray URLs) — each feed's private tail of exclusive
@@ -463,17 +525,18 @@ func (e *Engine) honeypotJunk(rng *randutil.RNG) {
 				d = e.World.ObscureSyms[rng.Intn(len(e.World.Obscure))]
 			} else {
 				ln := 6 + rng.Intn(10)
-				e.nameBuf = rng.AppendAlphaNum(e.nameBuf[:0], ln)
-				e.nameBuf = append(e.nameBuf, ".com"...)
-				d = e.syms.InternBytes(e.nameBuf)
+				m.nameBuf = rng.AppendAlphaNum(m.nameBuf[:0], ln)
+				m.nameBuf = append(m.nameBuf, ".com"...)
+				d = e.syms.InternBytes(m.nameBuf)
 			}
-			f.ObserveID(t, d, e.syms.AutoURL(d))
+			run.obs = append(run.obs, mintedObs{t, d, e.syms.AutoURL(d)})
 		}
+		m.honeypot = append(m.honeypot, run)
 	}
 }
 
-// poison injects the Rustock episode into the Bot and mx2 feeds.
-func (e *Engine) poison(rng *randutil.RNG) {
+// poison draws the Rustock episode for the Bot and mx2 feeds.
+func (e *Engine) poison(m *minted, rng *randutil.RNG) {
 	if e.World.Poisoner() == nil {
 		return
 	}
@@ -481,32 +544,34 @@ func (e *Engine) poison(rng *randutil.RNG) {
 	if !pw.End.After(pw.Start) {
 		return
 	}
-	inject := func(feed string, arrivals int, fresh float64, stream string) {
+	inject := func(feed uint8, arrivals int, fresh float64, stream string) {
 		src := newPoisonSourceSyms(rng.SplitNamed(stream), fresh,
 			e.Cfg.PoisonLiveHitProb, e.syms, e.World.ObscureSyms)
-		f := e.res.Feed(feed)
 		tRng := rng.SplitNamed(stream + "-times")
-		e.timesBuf = uniformTimesNanos(tRng, pw, arrivals, e.timesBuf[:0])
-		for _, t := range e.timesBuf {
+		m.times = uniformTimesNanos(tRng, pw, arrivals, m.times[:0])
+		run := mintRun{feed: feed, obs: make([]mintedObs, 0, arrivals)}
+		for _, t := range m.times {
 			d := src.NextID()
-			f.ObserveID(t, d, e.syms.AutoURL(d))
+			run.obs = append(run.obs, mintedObs{t, d, e.syms.AutoURL(d)})
 		}
+		m.poison = append(m.poison, run)
 	}
-	inject("Bot", e.Cfg.PoisonBotArrivals, e.Cfg.PoisonFreshProbBot, "bot")
-	inject("mx2", e.Cfg.PoisonMX2Arrivals, e.Cfg.PoisonFreshProbMX2, "mx2")
+	inject(fBot, e.Cfg.PoisonBotArrivals, e.Cfg.PoisonFreshProbBot, "bot")
+	inject(fMx2, e.Cfg.PoisonMX2Arrivals, e.Cfg.PoisonFreshProbMX2, "mx2")
 }
 
-// huJunk adds bogus human reports (typo domains, garbage) to Hu.
-func (e *Engine) huJunk(rng *randutil.RNG) {
+// huJunk draws bogus human reports (typo domains, garbage) for Hu.
+func (e *Engine) huJunk(m *minted, rng *randutil.RNG) {
 	n := rng.Poisson(e.Cfg.HuJunkReports)
-	f := e.res.Feed("Hu")
-	e.timesBuf = uniformTimesNanos(rng, e.window, n, e.timesBuf[:0])
-	for _, t := range e.timesBuf {
+	m.times = uniformTimesNanos(rng, e.window, n, m.times[:0])
+	run := mintRun{feed: fHu, obs: make([]mintedObs, 0, n)}
+	for _, t := range m.times {
 		ln := 5 + rng.Intn(9)
-		e.nameBuf = rng.AppendAlphaNum(e.nameBuf[:0], ln)
-		e.nameBuf = append(e.nameBuf, ".com"...)
-		f.ObserveID(t, e.syms.InternBytes(e.nameBuf), 0)
+		m.nameBuf = rng.AppendAlphaNum(m.nameBuf[:0], ln)
+		m.nameBuf = append(m.nameBuf, ".com"...)
+		run.obs = append(run.obs, mintedObs{t: t, d: e.syms.InternBytes(m.nameBuf)})
 	}
+	m.hu = append(m.hu, run)
 }
 
 // blacklistJunk adds each blacklist's rare benign-domain mistakes.

@@ -2,6 +2,7 @@ package mailflow
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"tasterschoice/internal/domain"
@@ -203,24 +204,51 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestRunReturnsUnknownFeedError removes a feed through the OnFeeds
-// hook — a configuration-reachable path — and verifies the run fails
-// with the typed error instead of crashing the process.
+// TestRunReturnsUnknownFeedError removes a feed through the hooks — a
+// configuration-reachable path — and verifies the run fails with the
+// typed error instead of crashing the process. The feed goes either
+// before the run binds its feeds, or midway: a Tap on mx1 deletes mx3,
+// which typoTraffic then looks up by name. Either way no goroutine of
+// the run may outlive it: the world's table must not grow after Run
+// returns. The mid-run case mints ten times the test poison, so the
+// mint goroutine is still interning when the run fails.
 func TestRunReturnsUnknownFeedError(t *testing.T) {
-	eng := New(testWorld(3), testConfig(1003))
-	eng.OnFeeds = func(fs map[string]*feeds.Feed) {
-		delete(fs, "mx2")
+	cases := []struct {
+		name, missing string
+		onFeeds       func(map[string]*feeds.Feed)
+		poisonScale   int
+	}{
+		{"before-binding", "mx2", func(fs map[string]*feeds.Feed) { delete(fs, "mx2") }, 1},
+		{"mid-run", "mx3", func(fs map[string]*feeds.Feed) {
+			fs["mx1"].Tap = func(feeds.RawRecord) { delete(fs, "mx3") }
+		}, 10},
 	}
-	res, err := eng.Run()
-	if res != nil {
-		t.Fatal("Run returned a result alongside a missing feed")
-	}
-	var ufe *UnknownFeedError
-	if !errors.As(err, &ufe) {
-		t.Fatalf("err = %v (%T), want *UnknownFeedError", err, err)
-	}
-	if ufe.Name != "mx2" {
-		t.Fatalf("UnknownFeedError.Name = %q, want mx2", ufe.Name)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := testWorld(3)
+			cfg := testConfig(1003)
+			cfg.PoisonBotArrivals *= c.poisonScale
+			eng := New(w, cfg)
+			eng.OnFeeds = c.onFeeds
+			res, err := eng.Run()
+			n := w.Syms.Len()
+			for i := 0; i < 1000; i++ {
+				runtime.Gosched()
+				if got := w.Syms.Len(); got != n {
+					t.Fatalf("symbol table grew from %d to %d after Run returned", n, got)
+				}
+			}
+			if res != nil {
+				t.Fatal("Run returned a result alongside a missing feed")
+			}
+			var ufe *UnknownFeedError
+			if !errors.As(err, &ufe) {
+				t.Fatalf("err = %v (%T), want *UnknownFeedError", err, err)
+			}
+			if ufe.Name != c.missing {
+				t.Fatalf("UnknownFeedError.Name = %q, want %s", ufe.Name, c.missing)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package mailflow
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -15,8 +16,13 @@ func TestGoldenEngineInertUnderInstrumentation(t *testing.T) {
 	want := runFingerprint(t, 4)
 
 	reg := obs.NewRegistry()
+	// The mint goroutine records its span beside the Run goroutine's
+	// phases, so the clock must be safe for concurrent use.
+	var clockMu sync.Mutex
 	clock := simclock.PaperStart
 	tracer := obs.NewTracer(64, func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
 		clock = clock.Add(time.Second)
 		return clock
 	})
@@ -50,7 +56,7 @@ func TestGoldenEngineInertUnderInstrumentation(t *testing.T) {
 		seen[s.Name] = true
 	}
 	for _, phase := range []string{
-		"observeCampaigns", "typoTraffic", "honeypotJunk", "poison",
+		"mint", "observeCampaigns", "typoTraffic", "honeypotJunk", "poison",
 		"huJunk", "blacklistJunk", "benignBaseline", "restrictBlacklists",
 	} {
 		if !seen[phase] {

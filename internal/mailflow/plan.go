@@ -22,8 +22,9 @@ import (
 // IDs and packed UnixNano times, batch times live in a per-plan arena,
 // and the engine reuses each plan buffer across chunks, so a steady-
 // state planning pass allocates almost nothing. Planning never interns
-// — every symbol it needs was assigned serially (world generation, or
-// the engine's serial phases) — which is what keeps ID assignment
+// — every symbol it needs was assigned by world generation, and the
+// only other interning, the engine's mint goroutine, runs on one
+// goroutine in a fixed order — which is what keeps ID assignment
 // independent of the worker count.
 
 // Feed indexes into FeedNames, the canonical order.

@@ -1,36 +1,20 @@
 package mailflow
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"testing"
 
 	"tasterschoice/internal/ecosystem"
-	"tasterschoice/internal/symtab"
 )
 
-// The interning contract: symbol IDs are assigned only from serial
-// code (world generation and the serial replay/junk phases), so the
-// complete ID→string mapping after a run is a pure function of the
-// seed — identical for every Workers setting. Parallel phases may
-// only Lookup, never Intern.
-
-// symtabDigest hashes the full ID→string assignment of a table.
-func symtabDigest(tab *symtab.Table) [sha256.Size]byte {
-	h := sha256.New()
-	n := tab.Len()
-	fmt.Fprintf(h, "len=%d\n", n)
-	for id := 1; id < n; id++ {
-		fmt.Fprintf(h, "%d %s\n", id, tab.Lookup(symtab.ID(id)))
-	}
-	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
-	return sum
-}
+// The interning contract: symbol IDs are assigned on one goroutine at
+// a time, in a fixed order — world generation, then the engine's mint
+// goroutine — so the complete ID→string mapping after a run is a pure
+// function of the seed, identical for every Workers setting. Campaign
+// planning and replay may only Lookup, never Intern.
 
 // runSymtabDigest builds a fresh world (so interning replays from
 // scratch) and returns the table digest after a full engine run.
-func runSymtabDigest(t *testing.T, workers int) [sha256.Size]byte {
+func runSymtabDigest(t *testing.T, workers int) string {
 	t.Helper()
 	w := testWorld(7000)
 	cfg := testConfig(7001)
@@ -38,7 +22,7 @@ func runSymtabDigest(t *testing.T, workers int) [sha256.Size]byte {
 	if _, err := New(w, cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
-	return symtabDigest(w.Syms)
+	return assignmentDigest(w.Syms)
 }
 
 func TestSymtabAssignmentDeterministicAcrossWorkers(t *testing.T) {

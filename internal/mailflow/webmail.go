@@ -1,7 +1,6 @@
 package mailflow
 
 import (
-	"sort"
 	"time"
 
 	"tasterschoice/internal/domain"
@@ -171,27 +170,8 @@ func (wm *webmail) evasion(class ecosystem.CampaignClass) float64 {
 	}
 }
 
-// wmSink receives a chain's side effects. The direct sink applies them
-// immediately (single-threaded callers); the shard sink buffers them
-// for the post-flush serial merge. Times are UnixNano.
-type wmSink interface {
-	// record counts one incoming message at the oracle.
-	record(t int64, d symtab.ID)
-	// report records a counted human report naming d.
-	report(rt int64, d symtab.ID)
-	// coReport records the chaff domain a report also named.
-	coReport(rt int64, d symtab.ID)
-}
-
-type directSink struct{ wm *webmail }
-
-func (s directSink) record(t int64, d symtab.ID) { s.wm.oracle.RecordID(t, d) }
-func (s directSink) report(rt int64, d symtab.ID) {
-	s.wm.reports++
-	s.wm.hu.ObserveID(rt, d, 0)
-}
-func (s directSink) coReport(rt int64, d symtab.ID) { s.wm.hu.ObserveID(rt, d, 0) }
-
+// shardSink buffers a chain's side effects in its shard for the
+// post-flush serial merge. Times are UnixNano.
 type shardSink struct {
 	s            *wmShard
 	startN, endN int64
@@ -211,12 +191,12 @@ func (k shardSink) coReport(rt int64, d symtab.ID) {
 }
 
 // run processes one batch of messages (times ascending) through d's
-// chain: oracle count, filter, report draw, feedback update. chaff, if
-// non-nil, draws the additional benign domain some reports name, using
-// the chain's own RNG.
-func (wm *webmail) run(ch *wmChain, rng *randutil.RNG, times []int64,
-	d symtab.ID, class ecosystem.CampaignClass,
-	chaff func(*randutil.RNG) (symtab.ID, bool), sink wmSink) {
+// chain with the chain's own RNG: oracle count, filter, report draw,
+// feedback update, and the benign chaff domain some reports also name
+// (drawn through chaffWith when it is set).
+func (wm *webmail) run(ch *wmChain, times []int64, d symtab.ID,
+	class ecosystem.CampaignClass, sink shardSink) {
+	rng := &ch.rng
 	evade := wm.evasion(class)
 	for _, t := range times {
 		sink.record(t, d)
@@ -240,51 +220,11 @@ func (wm *webmail) run(ch *wmChain, rng *randutil.RNG, times []int64,
 			ch.firstReport = rt
 			ch.reported = true
 		}
-		if chaff != nil && rng.Bool(wm.cfg.HuChaffProb) {
-			if cd, ok := chaff(rng); ok {
+		if wm.chaffWith != nil && rng.Bool(wm.cfg.HuChaffProb) {
+			if cd, ok := wm.chaffWith(rng); ok {
 				sink.coReport(rt, cd)
 			}
 		}
-	}
-}
-
-// deliver processes a batch of incoming messages naming d with the
-// caller's RNG, applying side effects immediately. times need not be
-// sorted; chaff, if non-nil, supplies an additional benign domain some
-// reports name. It is the single-threaded entry point (tests, ad-hoc
-// callers); the engine queues batches with enqueue/flush instead.
-func (wm *webmail) deliver(rng *randutil.RNG, times []time.Time, d domain.Name,
-	class ecosystem.CampaignClass, chaff func() (domain.Name, bool)) {
-	if len(times) == 0 {
-		return
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i].Before(times[j]) })
-	nanos := make([]int64, len(times))
-	for i, t := range times {
-		nanos[i] = t.UnixNano()
-	}
-	id := wm.syms.Intern(string(d))
-	var idChaff func(*randutil.RNG) (symtab.ID, bool)
-	if chaff != nil {
-		idChaff = func(*randutil.RNG) (symtab.ID, bool) {
-			cd, ok := chaff()
-			if !ok {
-				return 0, false
-			}
-			return wm.syms.Intern(string(cd)), true
-		}
-	}
-	ch := wm.shards[shardOf(d)].chain(wm, id)
-	wm.run(ch, &ch.rng, nanos, id, class, idChaff, directSink{wm})
-}
-
-// recordOnly counts incoming messages for the oracle without any
-// chance of inbox delivery — used for blasts the provider's filters
-// block outright.
-func (wm *webmail) recordOnly(times []time.Time, d domain.Name) {
-	id := wm.syms.Intern(string(d))
-	for _, t := range times {
-		wm.oracle.RecordID(t.UnixNano(), id)
 	}
 }
 
@@ -312,8 +252,7 @@ func (wm *webmail) flush(workers int) {
 				}
 				continue
 			}
-			ch := s.chain(wm, b.d)
-			wm.run(ch, &ch.rng, b.times, b.d, b.class, wm.chaffWith, sink)
+			wm.run(s.chain(wm, b.d), b.times, b.d, b.class, sink)
 		}
 		s.pend = s.pend[:0]
 	})
@@ -333,16 +272,4 @@ func (wm *webmail) flush(workers int) {
 		wm.reports += s.reports
 		s.reports = 0
 	}
-}
-
-// Reported reports whether d has been human-reported (used by tests and
-// the ablation benches).
-func (wm *webmail) Reported(d domain.Name) bool {
-	id, ok := wm.syms.Find(string(d))
-	if !ok {
-		return false
-	}
-	s := &wm.shards[shardOf(d)]
-	ci, ok := s.chainIdx[id]
-	return ok && s.chains[ci].reported
 }

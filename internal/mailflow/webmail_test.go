@@ -30,20 +30,38 @@ func volumeOf(o *oracle.Oracle, hu *feeds.Feed, d domain.Name) int64 {
 	return o.VolumeID(id)
 }
 
-func times(start time.Time, n int, step time.Duration) []time.Time {
-	out := make([]time.Time, n)
+// times returns n ascending UnixNano times, step apart from start.
+func times(start time.Time, n int, step time.Duration) []int64 {
+	out := make([]int64, n)
 	for i := range out {
-		out[i] = start.Add(time.Duration(i) * step)
+		out[i] = start.Add(time.Duration(i) * step).UnixNano()
 	}
 	return out
+}
+
+// deliver interns d through the Hu feed's table, queues one batch of
+// its messages and drains it, as the engine does per chunk; the chain
+// draws from its own RNG stream. It returns d's symbol ID.
+func deliver(wm *webmail, hu *feeds.Feed, d domain.Name, class ecosystem.CampaignClass,
+	ts []int64, prefiltered bool) symtab.ID {
+	id := hu.Syms().Intern(string(d))
+	wm.enqueue(wmBatch{d: id, class: class, times: ts, prefiltered: prefiltered})
+	wm.flush(2)
+	return id
+}
+
+// reported reports whether d's chain has recorded a human report.
+func reported(wm *webmail, d symtab.ID) bool {
+	s := &wm.shards[wm.shardOfID(d)]
+	ci, ok := s.chainIdx[d]
+	return ok && s.chains[ci].reported
 }
 
 func TestWebmailOracleCountsEverything(t *testing.T) {
 	cfg := DefaultConfig(1)
 	wm, hu, o := newTestWebmail(cfg)
-	rng := randutil.New(2)
 	d := domain.Name("pills.com")
-	wm.deliver(rng, times(simclock.PaperStart, 500, time.Minute), d, ecosystem.ClassLoud, nil)
+	deliver(wm, hu, d, ecosystem.ClassLoud, times(simclock.PaperStart, 500, time.Minute), false)
 	if got := volumeOf(o, hu, d); got != 500 {
 		t.Fatalf("oracle volume %d, want 500 (pre-filter)", got)
 	}
@@ -57,9 +75,8 @@ func TestWebmailFeedbackCapsReports(t *testing.T) {
 	cfg.ReportDelaySigma = 0.01
 	cfg.FilterAfterReport = 1.0 // feedback is airtight
 	wm, hu, _ := newTestWebmail(cfg)
-	rng := randutil.New(3)
 	d := domain.Name("pills.com")
-	wm.deliver(rng, times(simclock.PaperStart, 1000, time.Minute), d, ecosystem.ClassQuiet, nil)
+	id := deliver(wm, hu, d, ecosystem.ClassQuiet, times(simclock.PaperStart, 1000, time.Minute), false)
 	s, ok := hu.Stat(d)
 	if !ok {
 		t.Fatal("domain never reported")
@@ -69,8 +86,8 @@ func TestWebmailFeedbackCapsReports(t *testing.T) {
 	if s.Count > 3 {
 		t.Fatalf("reports = %d; feedback loop failed to cap volume", s.Count)
 	}
-	if !wm.Reported(d) {
-		t.Fatal("Reported() false after report")
+	if !reported(wm, id) {
+		t.Fatal("chain not marked reported after report")
 	}
 }
 
@@ -80,9 +97,8 @@ func TestWebmailNoFeedbackMeansManyReports(t *testing.T) {
 	cfg.ReportProb = 1.0
 	cfg.FilterAfterReport = 0 // ablation: no feedback
 	wm, hu, _ := newTestWebmail(cfg)
-	rng := randutil.New(4)
 	d := domain.Name("pills.com")
-	wm.deliver(rng, times(simclock.PaperStart, 1000, time.Minute), d, ecosystem.ClassQuiet, nil)
+	deliver(wm, hu, d, ecosystem.ClassQuiet, times(simclock.PaperStart, 1000, time.Minute), false)
 	s, _ := hu.Stat(d)
 	if s.Count < 900 {
 		t.Fatalf("reports = %d; without feedback nearly every message reports", s.Count)
@@ -93,9 +109,8 @@ func TestWebmailLoudFilteredHard(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.InboxEvasionLoud = 0 // filters catch every loud message
 	wm, hu, _ := newTestWebmail(cfg)
-	rng := randutil.New(5)
 	d := domain.Name("pills.com")
-	wm.deliver(rng, times(simclock.PaperStart, 2000, time.Minute), d, ecosystem.ClassLoud, nil)
+	deliver(wm, hu, d, ecosystem.ClassLoud, times(simclock.PaperStart, 2000, time.Minute), false)
 	if hu.Has(d) {
 		t.Fatal("fully filtered campaign still reported")
 	}
@@ -108,21 +123,26 @@ func TestWebmailReportsRespectWindowEnd(t *testing.T) {
 	cfg.ReportDelayMedianHours = 24 * 365 // reports land after the window
 	cfg.ReportDelaySigma = 0.01
 	wm, hu, _ := newTestWebmail(cfg)
-	rng := randutil.New(6)
 	d := domain.Name("pills.com")
-	wm.deliver(rng, times(simclock.PaperStart, 50, time.Hour), d, ecosystem.ClassQuiet, nil)
+	deliver(wm, hu, d, ecosystem.ClassQuiet, times(simclock.PaperStart, 50, time.Hour), false)
 	if hu.Has(d) {
 		t.Fatal("report recorded past the measurement window")
 	}
 }
 
+// TestWebmailRecordOnlyNeverReports checks a prefiltered batch, the
+// blast the provider's signatures block outright: the oracle counts
+// every message, and none reaches an inbox. The settings would report
+// every message of an unfiltered batch.
 func TestWebmailRecordOnlyNeverReports(t *testing.T) {
 	cfg := DefaultConfig(1)
+	cfg.InboxEvasionLoud = 1.0
+	cfg.ReportProb = 1.0
 	wm, hu, o := newTestWebmail(cfg)
 	d := domain.Name("megaspam.com")
-	wm.recordOnly(times(simclock.PaperStart, 100, time.Minute), d)
-	if hu.Has(d) {
-		t.Fatal("recordOnly leaked into Hu")
+	id := deliver(wm, hu, d, ecosystem.ClassLoud, times(simclock.PaperStart, 100, time.Minute), true)
+	if hu.Has(d) || reported(wm, id) {
+		t.Fatal("prefiltered batch leaked into Hu")
 	}
 	if got := volumeOf(o, hu, d); got != 100 {
 		t.Fatalf("oracle volume %d", got)
@@ -138,10 +158,10 @@ func TestWebmailChaffReports(t *testing.T) {
 	cfg.FilterAfterReport = 0
 	cfg.HuChaffProb = 1.0
 	wm, hu, _ := newTestWebmail(cfg)
-	rng := randutil.New(7)
 	chaffDomain := domain.Name("w3-style.org")
-	chaff := func() (domain.Name, bool) { return chaffDomain, true }
-	wm.deliver(rng, times(simclock.PaperStart, 20, time.Hour), "pills.com", ecosystem.ClassQuiet, chaff)
+	chaffID := hu.Syms().Intern(string(chaffDomain))
+	wm.chaffWith = func(*randutil.RNG) (symtab.ID, bool) { return chaffID, true }
+	deliver(wm, hu, "pills.com", ecosystem.ClassQuiet, times(simclock.PaperStart, 20, time.Hour), false)
 	if !hu.Has(chaffDomain) {
 		t.Fatal("chaff domain never co-reported")
 	}

@@ -39,7 +39,8 @@ type Tracer struct {
 
 // NewTracer returns a tracer keeping the most recent capacity spans
 // (default 1024 when capacity <= 0). now substitutes the clock; nil
-// means time.Now.
+// means time.Now. Every goroutine that starts or ends a span calls
+// now, so it must be safe for concurrent use.
 func NewTracer(capacity int, now func() time.Time) *Tracer {
 	if capacity <= 0 {
 		capacity = 1024

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -14,6 +15,12 @@ func FuzzInternLookupRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add(bytes.Repeat([]byte("a\x00"), 300))
+	// 600 distinct names grow the index several times over.
+	var many []byte
+	for i := 0; i < 600; i++ {
+		many = fmt.Appendf(many, "name-%d.example\x00", i)
+	}
+	f.Add(many)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab := New()
 		seen := map[string]ID{"": 0}

@@ -9,16 +9,17 @@
 //
 // Determinism contract: IDs are assigned in first-intern order, so two
 // runs that intern the same strings in the same order assign the same
-// IDs. The engine guarantees that order by interning only from serial
-// code (world generation, plan replay, the junk/poison phases);
-// parallel phases hold pre-interned IDs and only call Lookup. The
-// golden tests pin this down across worker counts.
+// IDs. The engine guarantees that order by interning on one goroutine
+// at a time, in a fixed order: world generation, then the engine's
+// mint goroutine (junk and poison names); campaign planning and the
+// replay of buffered observations only call Lookup. The pinned and
+// golden tests hold this down across builds and worker counts.
 //
-// Concurrency: Intern/InternBytes are guarded by a mutex (single
-// writer in practice), while Lookup is lock-free — strings live in
-// fixed-size pages that are never moved, and a page slot is published
-// by an atomic length store after the slot is written, so readers that
-// observe an ID below Len always see its string.
+// Concurrency: Intern/InternBytes/AutoURL are guarded by a mutex
+// (single writer in practice), while Lookup is lock-free — strings
+// live in fixed-size pages that are never moved, and a page slot is
+// published by an atomic length store after the slot is written, so
+// readers that observe an ID below Len always see its string.
 package symtab
 
 import (
@@ -41,13 +42,24 @@ const (
 
 type page [pageSize]string
 
+// minIndex is the index's initial slot count (a power of two).
+const minIndex = 64
+
 // Table is an append-only string interner.
 type Table struct {
-	mu  sync.Mutex
-	ids map[string]ID
+	mu sync.Mutex
+	// index maps strings to IDs by open addressing: a power-of-two
+	// array of slots probed linearly from the key's hash, kept at most
+	// half full. A slot packs the key's 32-bit hash tag (high word)
+	// and its ID+1 (low word); 0 is an empty slot. The index holds no
+	// pointers, and growth re-places slots by their tags without
+	// reading or re-hashing a key.
+	index []uint64
 	// auto caches the ID of the derived "http://<symbol>/" URL for
-	// each symbol (see AutoURL); 0 means not yet derived.
-	auto []ID
+	// each symbol (see AutoURL); 0 means not yet derived. urlBuf is
+	// the scratch AutoURL builds a URL in.
+	auto   []ID
+	urlBuf []byte
 
 	// pages is the published page list; n is the published symbol
 	// count. A slot is written before n covers it, and pages is
@@ -59,7 +71,7 @@ type Table struct {
 
 // New returns an empty table with "" pre-interned as ID 0.
 func New() *Table {
-	t := &Table{ids: make(map[string]ID)}
+	t := &Table{index: make([]uint64, minIndex)}
 	t.Intern("")
 	return t
 }
@@ -69,32 +81,70 @@ func (t *Table) Len() int { return int(t.n.Load()) }
 
 // Intern returns the ID for s, assigning the next dense ID on first
 // sight. Safe for concurrent use, but ID assignment is deterministic
-// only if first-intern order is; the engine interns serially.
-func (t *Table) Intern(s string) ID {
+// only if first-intern order is; the engine interns on one goroutine
+// at a time.
+func (t *Table) Intern(s string) ID { return intern(t, s) }
+
+// InternBytes is Intern for a byte-slice key. The hit path does not
+// allocate; b is copied only when the symbol is new.
+func (t *Table) InternBytes(b []byte) ID { return intern(t, b) }
+
+func intern[K string | []byte](t *Table, k K) ID {
+	tag := hash(k)
 	t.mu.Lock()
-	id, ok := t.ids[s]
+	pos, id, ok := probe(t, tag, k)
 	if !ok {
-		id = t.add(s)
+		id = t.add(string(k), pos, tag)
 	}
 	t.mu.Unlock()
 	return id
 }
 
-// InternBytes is Intern for a byte-slice key. The common hit path does
-// not allocate: the map lookup uses the compiler's no-copy string
-// conversion, and b is copied only when the symbol is new.
-func (t *Table) InternBytes(b []byte) ID {
-	t.mu.Lock()
-	id, ok := t.ids[string(b)]
-	if !ok {
-		id = t.add(string(b))
+// hash returns the 32-bit tag of a key: a multiply-xorshift over
+// 8-byte little-endian words, finished with a multiply whose high
+// half is kept. Both key types hash alike, so InternBytes(b) finds
+// Intern(string(b)).
+func hash[K string | []byte](k K) uint32 {
+	const m0, m1 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
+	h := uint64(len(k)) * m0
+	for ; len(k) >= 8; k = k[8:] {
+		w := uint64(k[0]) | uint64(k[1])<<8 | uint64(k[2])<<16 | uint64(k[3])<<24 |
+			uint64(k[4])<<32 | uint64(k[5])<<40 | uint64(k[6])<<48 | uint64(k[7])<<56
+		h = (h ^ w) * m1
+		h ^= h >> 29
 	}
-	t.mu.Unlock()
-	return id
+	if len(k) > 0 {
+		var w uint64
+		for i := len(k) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(k[i])
+		}
+		h = (h ^ w) * m1
+		h ^= h >> 29
+	}
+	return uint32((h * m0) >> 32)
 }
 
-// add appends a new symbol. Caller holds mu.
-func (t *Table) add(s string) ID {
+// probe looks k up by its tag. It returns k's ID and true, or the
+// empty slot where k belongs and false. Caller holds mu.
+func probe[K string | []byte](t *Table, tag uint32, k K) (pos int, id ID, ok bool) {
+	mask := len(t.index) - 1
+	for pos = int(tag) & mask; ; pos = (pos + 1) & mask {
+		slot := t.index[pos]
+		if slot == 0 {
+			return pos, 0, false
+		}
+		if uint32(slot>>32) == tag {
+			id = ID(uint32(slot) - 1)
+			if (*t.pages.Load())[id>>pageShift][id&pageMask] == string(k) {
+				return pos, id, true
+			}
+		}
+	}
+}
+
+// add appends a new symbol and indexes it at the empty slot pos that
+// probe returned. Caller holds mu.
+func (t *Table) add(s string, pos int, tag uint32) ID {
 	id := ID(t.n.Load())
 	pages := t.pages.Load()
 	pi := int(id >> pageShift)
@@ -117,9 +167,30 @@ func (t *Table) add(s string) ID {
 	// index past n, so the "mutation" is invisible until then.
 	//lint:allow publishedmut -- slot id is published by n.Store, not pages.Store; readers never read past n
 	(*pages)[pi][id&pageMask] = s
-	t.ids[s] = id
+	t.index[pos] = uint64(tag)<<32 | uint64(id+1)
 	t.n.Store(uint32(id) + 1) // publish after the slot write
+	if 2*(int(id)+1) > len(t.index) {
+		t.grow()
+	}
 	return id
+}
+
+// grow doubles the index, re-placing every slot from its stored tag.
+// Caller holds mu.
+func (t *Table) grow() {
+	next := make([]uint64, 2*len(t.index))
+	mask := len(next) - 1
+	for _, slot := range t.index {
+		if slot == 0 {
+			continue
+		}
+		pos := int(slot>>32) & mask
+		for next[pos] != 0 {
+			pos = (pos + 1) & mask
+		}
+		next[pos] = slot
+	}
+	t.index = next
 }
 
 // Lookup returns the string for id. It is lock-free and safe
@@ -137,8 +208,9 @@ func (t *Table) Lookup(id ID) string {
 // takes the writer lock, so it is for cold paths (post-run analysis,
 // tests), not per-message code.
 func (t *Table) Find(s string) (ID, bool) {
+	tag := hash(s)
 	t.mu.Lock()
-	id, ok := t.ids[s]
+	_, id, ok := probe(t, tag, s)
 	t.mu.Unlock()
 	return id, ok
 }
@@ -146,8 +218,8 @@ func (t *Table) Find(s string) (ID, bool) {
 // AutoURL returns the ID of the derived URL "http://<s>/" where s is
 // id's symbol — the URL every honeypot-style feed synthesizes for a
 // bare reported domain. The derivation is cached per symbol, so steady
-// state is one array read with no string building. Like Intern it must
-// only be called from serial code.
+// state is one array read with no string building. Like Intern it
+// assigns IDs, so it runs only where interning does.
 func (t *Table) AutoURL(id ID) ID {
 	t.mu.Lock()
 	if int(id) >= len(t.auto) {
@@ -162,13 +234,11 @@ func (t *Table) AutoURL(id ID) ID {
 		return u
 	}
 	s := t.lookupLocked(id)
-	buf := make([]byte, 0, len("http://")+len(s)+1)
-	buf = append(buf, "http://"...)
-	buf = append(buf, s...)
-	buf = append(buf, '/')
-	u, ok := t.ids[string(buf)]
+	t.urlBuf = append(append(append(t.urlBuf[:0], "http://"...), s...), '/')
+	tag := hash(t.urlBuf)
+	pos, u, ok := probe(t, tag, t.urlBuf)
 	if !ok {
-		u = t.add(string(buf))
+		u = t.add(string(t.urlBuf), pos, tag)
 	}
 	t.auto[id] = u
 	t.mu.Unlock()

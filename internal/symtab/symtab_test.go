@@ -67,6 +67,54 @@ func TestFind(t *testing.T) {
 	}
 }
 
+// TestIndexGrowth interns across four doublings of the index. After
+// each one it checks that every symbol is still found, that misses
+// stay misses, that InternBytes and Intern agree without adding
+// symbols, that derived URLs keep their IDs, and that the index is at
+// most half full.
+func TestIndexGrowth(t *testing.T) {
+	tab := New()
+	ids := map[string]ID{"": 0}
+	urls := map[ID]ID{} // symbol → its AutoURL
+	size, growths := len(tab.index), 0
+	for i := 0; growths < 4; i++ {
+		s := fmt.Sprintf("grow-%d.example", i)
+		ids[s] = tab.Intern(s)
+		if i%3 == 0 {
+			urls[ids[s]] = tab.AutoURL(ids[s])
+			ids["http://"+s+"/"] = urls[ids[s]]
+		}
+		if len(tab.index) == size {
+			continue
+		}
+		growths++
+		size = len(tab.index)
+		n := tab.Len()
+		if 2*n > size {
+			t.Fatalf("index of %d slots holds %d symbols", size, n)
+		}
+		for s, id := range ids {
+			if got, ok := tab.Find(s); !ok || got != id {
+				t.Fatalf("growth %d: Find(%q) = (%d, %v), want (%d, true)", growths, s, got, ok, id)
+			}
+			if b, in := tab.InternBytes([]byte(s)), tab.Intern(s); b != id || in != id {
+				t.Fatalf("growth %d: InternBytes(%q) = %d, Intern = %d, want %d", growths, s, b, in, id)
+			}
+			if _, ok := tab.Find(s + "x"); ok {
+				t.Fatalf("growth %d: Find(%q) hit an absent symbol", growths, s+"x")
+			}
+		}
+		for d, u := range urls {
+			if got := tab.AutoURL(d); got != u {
+				t.Fatalf("growth %d: AutoURL(%d) = %d, was %d", growths, d, got, u)
+			}
+		}
+		if tab.Len() != n {
+			t.Fatalf("growth %d: lookups of interned symbols grew the table from %d to %d", growths, n, tab.Len())
+		}
+	}
+}
+
 func TestAutoURL(t *testing.T) {
 	tab := New()
 	d := tab.Intern("cheappills.com")
