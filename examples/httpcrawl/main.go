@@ -20,6 +20,7 @@ import (
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/report"
 	"tasterschoice/internal/simulate"
+	"tasterschoice/internal/symtab"
 	"tasterschoice/internal/webcrawl"
 	"tasterschoice/internal/webhost"
 )
@@ -53,18 +54,15 @@ func run() error {
 	rows := make([][]string, 0, 3)
 	for _, feedName := range []string{"mx1", "Ac1", "Hyb"} {
 		feed := res.Feed(feedName)
-		// Collect each domain's sample URL (or its bare root).
+		// Collect each domain's sample URL (empty: its bare root).
 		type job struct {
-			d   domain.Name
+			d   symtab.ID
 			url string
 		}
 		var jobs []job
 		feed.Each(func(d domain.Name, s feeds.DomainStat) {
-			u := s.SampleURL
-			if u == "" {
-				u = "http://" + string(d) + "/"
-			}
-			jobs = append(jobs, job{d, u})
+			id, _ := world.Syms.Find(string(d))
+			jobs = append(jobs, job{id, s.SampleURL})
 		})
 
 		// A pool of crawler workers, each with its own HTTP client.
@@ -78,7 +76,7 @@ func run() error {
 				defer wg.Done()
 				crawler := webhost.NewCrawler(world, srv, addr.String())
 				for i := range next {
-					results[i] = crawler.Visit(jobs[i].url)
+					results[i] = crawler.Visit(jobs[i].d, jobs[i].url)
 				}
 			}()
 		}

@@ -11,11 +11,13 @@ import (
 )
 
 // labelingBudget is the most heap allocations labeling the seed-2010
-// default-scale collection may make. Labeling makes ~7.5k, far fewer
-// than the domains it labels: labels sit in dense arrays indexed by
-// symbol ID and each worker reuses one crawler. A string or map entry
-// per domain would blow the budget many times over.
-const labelingBudget = 20_000
+// default-scale collection may make. Labeling makes ~40 for ~127k
+// domains: labels sit in dense arrays indexed by symbol ID, each
+// worker reuses one crawler, and the crawl, the zone check and the
+// ground truth read each domain by its ID, so even a bare-root visit
+// builds no URL. One allocation per domain-only domain (~7.5k) would
+// blow the budget many times over.
+const labelingBudget = 100
 
 // TestBuildLabelsAllocBudget holds analysis.BuildLabelsConcurrent to
 // labelingBudget at one and at four workers. The world and the

@@ -179,18 +179,21 @@ func BuildLabelsWith(w *ecosystem.World, res *mailflow.Result, workers int,
 	return ls
 }
 
-// labelOne fills in one domain's label. It gathers the distinct
-// sample URLs the feeds saw for d in canonical feed order (URL feeds
-// preserve redirection context) into a stack buffer; a domain no feed
-// attached a URL to gets the paper's bare "http://domain/" visit.
+// labelOne fills in one domain's label. Every lookup is by d's symbol
+// ID: a feed records each URL under the URL's registered domain, and
+// every feed domain is its own registered domain
+// (TestCrawlRestsOnFeedDomains), so no URL needs parsing. It gathers
+// the distinct sample URLs the feeds saw for d in canonical feed order
+// (URL feeds preserve redirection context) into a stack buffer; a
+// domain no feed attached a URL to gets the paper's bare
+// "http://domain/" visit.
 func labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
 	zoneWindow simclock.Window, d symtab.ID, fs []*feeds.Feed, label *Label) {
-	name := domain.Name(w.Syms.Lookup(d))
-	label.InZoneTLD = w.Registry.Covers(name)
+	label.InZoneTLD = w.Registry.CoversTLD(domain.Name(w.Syms.Lookup(d)).TLD())
 	if label.InZoneTLD {
-		label.DNS = w.Registry.AppearedDuring(name, zoneWindow)
+		label.DNS = w.Registry.AppearedDuring(d, zoneWindow)
 	}
-	if info, ok := w.Info(name); ok {
+	if info, ok := w.InfoID(d); ok {
 		label.Alexa = info.Alexa
 		label.ODP = info.ODP
 	}
@@ -205,7 +208,7 @@ func labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
 		}
 	}
 	visit := func(u string) {
-		r := crawler.Visit(u)
+		r := crawler.Visit(d, u)
 		if r.OK {
 			label.HTTP = true
 		}
@@ -218,7 +221,7 @@ func labelOne(w *ecosystem.World, crawler webcrawl.Visitor,
 		}
 	}
 	if len(urls) == 0 {
-		visit("http://" + string(name) + "/")
+		visit("")
 	}
 	for _, u := range urls {
 		visit(w.Syms.Lookup(u))

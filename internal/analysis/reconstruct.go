@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/stats"
 	"tasterschoice/internal/symtab"
 )
@@ -39,7 +38,7 @@ type Reconstruction struct {
 // before testing overlap (rotation gaps hide in report latency).
 func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Reconstruction {
 	type item struct {
-		d           domain.Name
+		d           string
 		program     int
 		campaign    int
 		first, last time.Time
@@ -52,14 +51,13 @@ func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Rec
 		if !ClassTagged.member(l) {
 			return
 		}
-		dn := domain.Name(ds.name(d))
-		info, ok := ds.World.Info(dn)
+		info, ok := ds.World.InfoID(d)
 		if !ok || info.Campaign < 0 {
 			return
 		}
 		s, _ := feed.StatID(d)
 		items = append(items, item{
-			d: dn, program: l.Program, campaign: info.Campaign,
+			d: ds.name(d), program: l.Program, campaign: info.Campaign,
 			first: s.First.Add(-slack), last: s.Last.Add(slack),
 		})
 	})

@@ -5,66 +5,53 @@
 // info) over a window bracketing the measurement period by 16 months on
 // each side. This package provides the registry abstraction backing that
 // check: domains are registered (and possibly dropped) at points in
-// simulated time, and queries ask whether a name was present in a zone
+// simulated time, and queries ask whether a domain was present in a zone
 // at an instant or at any point during a window.
+//
+// Domains are keyed by their symbol IDs in the world's table, the
+// identity every feed row already carries, so a query hashes no string.
 package dnszone
 
 import (
-	"sort"
-	"sync"
+	"math"
 	"time"
 
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/symtab"
 )
 
 // PaperZoneTLDs are the TLDs whose zone files the paper checked.
 var PaperZoneTLDs = []string{"com", "net", "org", "biz", "us", "aero", "info"}
 
-// PaperZoneWindow returns the zone-check window: the measurement period
-// bracketed by 16 months (≈487 days) before and after, matching the
-// paper's April 2009 – March 2012 span.
-func PaperZoneWindow() simclock.Window {
-	return simclock.PaperWindow().Extend(487, 487)
-}
+// open is the end of a registration that is still active.
+const open = math.MaxInt64
 
-// interval is a half-open registration interval [from, to); a zero `to`
-// means still registered.
+// interval is a half-open registration interval [from, to) in Unix
+// nanoseconds; to is open while the domain is still registered. The
+// zero interval is empty: the domain was never registered.
 type interval struct {
-	from time.Time
-	to   time.Time
+	from, to int64
 }
 
-func (iv interval) activeAt(t time.Time) bool {
-	if t.Before(iv.from) {
-		return false
-	}
-	return iv.to.IsZero() || t.Before(iv.to)
-}
-
-func (iv interval) overlaps(w simclock.Window) bool {
-	if !iv.from.Before(w.End) {
-		return false
-	}
-	return iv.to.IsZero() || iv.to.After(w.Start)
-}
-
-// Registry is a collection of per-TLD zones with registration history.
-// It is safe for concurrent use.
+// Registry is a collection of TLD zones with each domain's registration
+// interval, indexed by the domain's symbol ID. Its size is fixed when
+// it is made; Register and Drop are for the code that builds it (world
+// generation), and queries take no lock, so a built registry is safe
+// for any number of concurrent readers. IDs at or beyond its size are
+// names that were never registered, such as poison output.
 type Registry struct {
-	mu      sync.RWMutex
-	covered map[string]bool // TLDs with zone-file visibility
-	zones   map[string]map[domain.Name][]interval
+	covered map[string]bool // TLDs with zone-file visibility; never written after NewRegistry
+	zone    []interval
 }
 
-// NewRegistry creates a registry with zone-file visibility into the
-// given TLDs. Registrations in other TLDs are accepted but invisible to
-// zone queries (CoversTLD reports false), mirroring the paper's partial
-// TLD coverage.
-func NewRegistry(coveredTLDs []string) *Registry {
+// NewRegistry creates a registry of n symbol IDs with zone-file
+// visibility into the given TLDs. Registrations in other TLDs are
+// recorded but invisible to zone queries (CoversTLD reports false),
+// mirroring the paper's partial TLD coverage.
+func NewRegistry(coveredTLDs []string, n int) *Registry {
 	r := &Registry{
 		covered: make(map[string]bool, len(coveredTLDs)),
-		zones:   make(map[string]map[domain.Name][]interval),
+		zone:    make([]interval, n),
 	}
 	for _, tld := range coveredTLDs {
 		r.covered[tld] = true
@@ -72,110 +59,50 @@ func NewRegistry(coveredTLDs []string) *Registry {
 	return r
 }
 
-// NewPaperRegistry returns a registry covering the paper's seven TLDs.
-func NewPaperRegistry() *Registry {
-	return NewRegistry(PaperZoneTLDs)
+// NewPaperRegistry returns a registry of n symbol IDs covering the
+// paper's seven TLDs.
+func NewPaperRegistry(n int) *Registry {
+	return NewRegistry(PaperZoneTLDs, n)
 }
 
 // CoversTLD reports whether the registry has zone-file visibility into
 // the given TLD.
-func (r *Registry) CoversTLD(tld string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.covered[tld]
-}
+func (r *Registry) CoversTLD(tld string) bool { return r.covered[tld] }
 
-// Covers reports whether the registry's zone files would show the given
-// domain's TLD at all.
-func (r *Registry) Covers(d domain.Name) bool {
-	return r.CoversTLD(d.TLD())
-}
-
-// Register records that d entered its TLD zone at time t. Registering
-// an already-active domain is a no-op.
-func (r *Registry) Register(d domain.Name, t time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tld := d.TLD()
-	zone := r.zones[tld]
-	if zone == nil {
-		zone = make(map[domain.Name][]interval)
-		r.zones[tld] = zone
-	}
-	ivs := zone[d]
-	if n := len(ivs); n > 0 && ivs[n-1].to.IsZero() {
-		return // already active
-	}
-	zone[d] = append(ivs, interval{from: t})
-}
-
-// Drop records that d left its zone at time t (expiry or takedown).
-// Dropping an inactive domain is a no-op.
-func (r *Registry) Drop(d domain.Name, t time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	zone := r.zones[d.TLD()]
-	if zone == nil {
-		return
-	}
-	ivs := zone[d]
-	if n := len(ivs); n > 0 && ivs[n-1].to.IsZero() && !t.Before(ivs[n-1].from) {
-		ivs[n-1].to = t
-		zone[d] = ivs
+// Register records that domain d entered its zone at time t. A domain
+// has one registration: registering it again is a no-op.
+func (r *Registry) Register(d symtab.ID, t time.Time) {
+	if iv := &r.zone[d]; iv.from >= iv.to {
+		*iv = interval{from: t.UnixNano(), to: open}
 	}
 }
 
-// ActiveAt reports whether d was in its zone file at instant t.
-func (r *Registry) ActiveAt(d domain.Name, t time.Time) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, iv := range r.zones[d.TLD()][d] {
-		if iv.activeAt(t) {
-			return true
-		}
+// Drop records that domain d left its zone at time t (expiry or
+// takedown). Dropping a domain that is not active at t is a no-op.
+func (r *Registry) Drop(d symtab.ID, t time.Time) {
+	if iv := &r.zone[d]; iv.to == open && iv.from <= t.UnixNano() {
+		iv.to = t.UnixNano()
 	}
-	return false
 }
 
-// AppearedDuring reports whether d appeared in its zone file at any
-// point during the window — the paper's registration test.
-func (r *Registry) AppearedDuring(d domain.Name, w simclock.Window) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, iv := range r.zones[d.TLD()][d] {
-		if iv.overlaps(w) {
-			return true
-		}
+// at returns d's registration interval, empty for an ID the registry
+// does not hold.
+func (r *Registry) at(d symtab.ID) interval {
+	if int(d) < len(r.zone) {
+		return r.zone[d]
 	}
-	return false
+	return interval{}
 }
 
-// Snapshot returns the sorted list of domains active in the given TLD's
-// zone at instant t — a zone file as of t.
-func (r *Registry) Snapshot(tld string, t time.Time) []domain.Name {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []domain.Name
-	for d, ivs := range r.zones[tld] {
-		for _, iv := range ivs {
-			if iv.activeAt(t) {
-				out = append(out, d)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// ActiveAt reports whether domain d was in its zone file at instant t.
+func (r *Registry) ActiveAt(d symtab.ID, t time.Time) bool {
+	iv, n := r.at(d), t.UnixNano()
+	return iv.from <= n && n < iv.to
 }
 
-// Size returns the total number of domains with any registration
-// history across all zones.
-func (r *Registry) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, zone := range r.zones {
-		n += len(zone)
-	}
-	return n
+// AppearedDuring reports whether domain d appeared in its zone file at
+// any point during the window — the paper's registration test.
+func (r *Registry) AppearedDuring(d symtab.ID, w simclock.Window) bool {
+	iv := r.at(d)
+	return iv.from < iv.to && iv.from < w.End.UnixNano() && iv.to > w.Start.UnixNano()
 }

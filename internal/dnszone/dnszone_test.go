@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/simclock"
+	"tasterschoice/internal/symtab"
 )
 
 var (
@@ -16,9 +16,11 @@ var (
 	t3 = t0.AddDate(0, 0, 30)
 )
 
+// d is the symbol ID the single-domain tests register.
+const d symtab.ID = 3
+
 func TestRegisterAndActiveAt(t *testing.T) {
-	r := NewPaperRegistry()
-	d := domain.Name("pills.com")
+	r := NewPaperRegistry(8)
 	r.Register(d, t1)
 	if r.ActiveAt(d, t0) {
 		t.Error("active before registration")
@@ -29,11 +31,13 @@ func TestRegisterAndActiveAt(t *testing.T) {
 	if !r.ActiveAt(d, t2) {
 		t.Error("not active after registration")
 	}
+	if r.ActiveAt(d+1, t2) {
+		t.Error("unregistered neighbour active")
+	}
 }
 
 func TestDropEndsInterval(t *testing.T) {
-	r := NewPaperRegistry()
-	d := domain.Name("pills.com")
+	r := NewPaperRegistry(8)
 	r.Register(d, t1)
 	r.Drop(d, t2)
 	if !r.ActiveAt(d, t1) {
@@ -47,34 +51,21 @@ func TestDropEndsInterval(t *testing.T) {
 	}
 }
 
-func TestReRegistration(t *testing.T) {
-	r := NewPaperRegistry()
-	d := domain.Name("pills.com")
-	r.Register(d, t0)
-	r.Drop(d, t1)
-	r.Register(d, t2)
-	if r.ActiveAt(d, t1.Add(time.Hour)) {
-		t.Error("active in the gap")
-	}
-	if !r.ActiveAt(d, t3) {
-		t.Error("not active after re-registration")
-	}
-}
-
 func TestRegisterIdempotentWhileActive(t *testing.T) {
-	r := NewPaperRegistry()
-	d := domain.Name("pills.com")
+	r := NewPaperRegistry(8)
 	r.Register(d, t0)
 	r.Register(d, t1) // no-op
 	r.Drop(d, t2)
 	if r.ActiveAt(d, t3) {
 		t.Error("second Register should not have opened a new interval")
 	}
+	if !r.ActiveAt(d, t0) {
+		t.Error("second Register moved the registration instant")
+	}
 }
 
 func TestDropInactiveNoop(t *testing.T) {
-	r := NewPaperRegistry()
-	d := domain.Name("pills.com")
+	r := NewPaperRegistry(8)
 	r.Drop(d, t1) // never registered; must not panic
 	r.Register(d, t2)
 	if !r.ActiveAt(d, t3) {
@@ -83,8 +74,7 @@ func TestDropInactiveNoop(t *testing.T) {
 }
 
 func TestAppearedDuring(t *testing.T) {
-	r := NewPaperRegistry()
-	d := domain.Name("pills.com")
+	r := NewPaperRegistry(8)
 	r.Register(d, t1)
 	r.Drop(d, t2)
 	cases := []struct {
@@ -103,11 +93,16 @@ func TestAppearedDuring(t *testing.T) {
 			t.Errorf("case %d: AppearedDuring = %v, want %v", i, got, c.want)
 		}
 	}
+	// Never registered, and beyond the registry's IDs (a name interned
+	// after the registry was built).
+	all := simclock.Window{Start: t0.AddDate(-10, 0, 0), End: t3.AddDate(10, 0, 0)}
+	if r.AppearedDuring(d+1, all) || r.AppearedDuring(100, all) {
+		t.Error("unregistered domain appeared")
+	}
 }
 
 func TestStillActiveOverlapsAnyLaterWindow(t *testing.T) {
-	r := NewPaperRegistry()
-	d := domain.Name("pills.com")
+	r := NewPaperRegistry(8)
 	r.Register(d, t0)
 	w := simclock.Window{Start: t3, End: t3.AddDate(0, 0, 10)}
 	if !r.AppearedDuring(d, w) {
@@ -116,7 +111,7 @@ func TestStillActiveOverlapsAnyLaterWindow(t *testing.T) {
 }
 
 func TestCoversTLD(t *testing.T) {
-	r := NewPaperRegistry()
+	r := NewPaperRegistry(0)
 	for _, tld := range PaperZoneTLDs {
 		if !r.CoversTLD(tld) {
 			t.Errorf("paper registry should cover %q", tld)
@@ -125,61 +120,45 @@ func TestCoversTLD(t *testing.T) {
 	if r.CoversTLD("ru") {
 		t.Error("paper registry should not cover ru")
 	}
-	if !r.Covers(domain.Name("x.com")) || r.Covers(domain.Name("x.ru")) {
-		t.Error("Covers mismatch")
-	}
 }
 
-func TestSnapshotSortedAndFiltered(t *testing.T) {
-	r := NewPaperRegistry()
-	r.Register(domain.Name("zzz.com"), t0)
-	r.Register(domain.Name("aaa.com"), t0)
-	r.Register(domain.Name("gone.com"), t0)
-	r.Drop(domain.Name("gone.com"), t1)
-	r.Register(domain.Name("other.net"), t0)
-	snap := r.Snapshot("com", t2)
-	if len(snap) != 2 || snap[0] != "aaa.com" || snap[1] != "zzz.com" {
-		t.Fatalf("Snapshot = %v", snap)
-	}
-}
-
-func TestSize(t *testing.T) {
-	r := NewPaperRegistry()
-	r.Register(domain.Name("a.com"), t0)
-	r.Register(domain.Name("b.net"), t0)
-	r.Register(domain.Name("a.com"), t1) // idempotent
-	if got := r.Size(); got != 2 {
-		t.Fatalf("Size = %d", got)
-	}
-}
-
-func TestPaperZoneWindowBracketsMeasurement(t *testing.T) {
-	w := PaperZoneWindow()
-	m := simclock.PaperWindow()
-	if !w.Start.Before(m.Start) || !w.End.After(m.End) {
-		t.Fatal("zone window must bracket the measurement window")
-	}
-	// Roughly 16 months on each side.
-	if days := int(m.Start.Sub(w.Start).Hours() / 24); days < 450 || days > 520 {
-		t.Errorf("pre-bracket %d days, want ~487", days)
-	}
-}
-
+// TestConcurrentAccess reads a built registry from eight goroutines at
+// once, as the labeling workers do; under -race it checks that queries
+// take no lock and write nothing.
 func TestConcurrentAccess(t *testing.T) {
-	r := NewPaperRegistry()
+	const n = 64
+	r := NewPaperRegistry(n)
+	for id := symtab.ID(1); id < n; id += 2 {
+		r.Register(id, t0)
+		if id%4 == 1 {
+			r.Drop(id, t2)
+		}
+	}
+	late := simclock.Window{Start: t3, End: t3.AddDate(0, 0, 10)}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			d := domain.Name(string(rune('a'+i)) + "x.com")
 			for j := 0; j < 100; j++ {
-				r.Register(d, t0)
-				r.ActiveAt(d, t1)
-				r.AppearedDuring(d, simclock.Window{Start: t0, End: t3})
-				r.Drop(d, t2)
+				for id := symtab.ID(0); id < n+4; id++ {
+					registered := id < n && id%2 == 1
+					dropped := registered && id%4 == 1
+					if got := r.ActiveAt(id, t1); got != registered {
+						t.Errorf("ActiveAt(%d) = %v, want %v", id, got, registered)
+						return
+					}
+					if got := r.AppearedDuring(id, late); got != (registered && !dropped) {
+						t.Errorf("AppearedDuring(%d) = %v", id, got)
+						return
+					}
+					if !r.CoversTLD("com") {
+						t.Error("com not covered")
+						return
+					}
+				}
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 }

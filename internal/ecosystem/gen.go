@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tasterschoice/internal/dnszone"
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/randutil"
 	"tasterschoice/internal/simclock"
 	"tasterschoice/internal/symtab"
@@ -18,12 +17,7 @@ func Generate(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w := &World{
-		Config:   cfg,
-		Registry: dnszone.NewPaperRegistry(),
-		Syms:     symtab.New(),
-		index:    make(map[domain.Name]*DomainInfo),
-	}
+	w := &World{Config: cfg, Syms: symtab.New()}
 	root := randutil.New(cfg.Seed)
 	names := newNameGen(root.SplitNamed("names"), w.Syms)
 
@@ -33,7 +27,84 @@ func Generate(cfg Config) (*World, error) {
 	w.genObscure(root.SplitNamed("obscure"), names)
 	w.genBotnets(root.SplitNamed("botnets"))
 	w.genCampaigns(root.SplitNamed("campaigns"), names)
+	w.index()
 	return w, nil
+}
+
+// register logs that domain d entered its zone at from and, unless to
+// is zero, left it at to.
+func (w *World) register(d symtab.ID, from, to time.Time) {
+	w.pending.add(registration{d: d, from: from, to: to})
+}
+
+// index sizes the per-domain ground truth and the registry once, to
+// the final symbol count, and fills them from the generated records
+// and the logged registrations. A domain is Registered exactly when
+// Generate drew a registration for it.
+func (w *World) index() {
+	n := w.Syms.Len()
+	w.info = make([]DomainInfo, n)
+	for i := range w.Benign {
+		b := &w.Benign[i]
+		w.info[b.Sym] = DomainInfo{
+			Kind:       KindBenign,
+			Campaign:   -1,
+			Program:    -1,
+			Affiliate:  -1,
+			Category:   CategoryOther,
+			Alive:      true,
+			Alexa:      b.Alexa,
+			ODP:        b.ODP,
+			Redirector: b.Redirector,
+			BenignRank: b.Rank,
+		}
+	}
+	for _, d := range w.ObscureSyms {
+		w.info[d] = DomainInfo{
+			Kind:       KindObscure,
+			Campaign:   -1,
+			Program:    -1,
+			Affiliate:  -1,
+			Category:   CategoryOther,
+			Alive:      true,
+			BenignRank: -1,
+		}
+	}
+	for i := range w.Campaigns {
+		c := &w.Campaigns[i]
+		for _, ad := range c.Domains {
+			if ad.Redirector {
+				continue // a benign domain, indexed above
+			}
+			kind := KindStorefront
+			switch {
+			case c.Class == ClassWebOnly && c.Program < 0:
+				kind = KindWebOnly
+			case ad.Landing:
+				kind = KindLanding
+			}
+			w.info[ad.Sym] = DomainInfo{
+				Kind:       kind,
+				Campaign:   c.ID,
+				Program:    c.Program,
+				Affiliate:  c.Affiliate,
+				Category:   w.campaignCategory(c),
+				Alive:      ad.Alive,
+				BenignRank: -1,
+			}
+		}
+	}
+	w.Registry = dnszone.NewPaperRegistry(n)
+	for _, chunk := range w.pending {
+		for _, r := range chunk {
+			w.Registry.Register(r.d, r.from)
+			if !r.to.IsZero() {
+				w.Registry.Drop(r.d, r.to)
+			}
+			w.info[r.d].Registered = true
+		}
+	}
+	w.pending = nil
 }
 
 // MustGenerate is Generate that panics on error, for tests and tools
@@ -135,7 +206,7 @@ func (w *World) genBenign(rng *randutil.RNG, names *nameGen) {
 			URLSym: w.Syms.AutoURL(sym),
 		}
 		// Registered long before the measurement window.
-		w.Registry.Register(d, regStart.AddDate(0, 0, -(100+rng.Intn(2900))))
+		w.register(sym, regStart.AddDate(0, 0, -(100+rng.Intn(2900))), time.Time{})
 	}
 	for _, i := range rng.SampleInts(n, cfg.ODPDomains) {
 		w.Benign[i].ODP = true
@@ -151,22 +222,6 @@ func (w *World) genBenign(rng *randutil.RNG, names *nameGen) {
 		w.Benign[lo+i].Redirector = true
 		w.redirectors = append(w.redirectors, w.Benign[lo+i].Name)
 	}
-	for i := range w.Benign {
-		b := &w.Benign[i]
-		w.index[b.Name] = &DomainInfo{
-			Kind:       KindBenign,
-			Campaign:   -1,
-			Program:    -1,
-			Affiliate:  -1,
-			Category:   CategoryOther,
-			Alive:      true,
-			Registered: true,
-			Alexa:      b.Alexa,
-			ODP:        b.ODP,
-			Redirector: b.Redirector,
-			BenignRank: b.Rank,
-		}
-	}
 }
 
 func (w *World) genObscure(rng *randutil.RNG, names *nameGen) {
@@ -175,17 +230,7 @@ func (w *World) genObscure(rng *randutil.RNG, names *nameGen) {
 		d, sym := names.Obscure()
 		w.Obscure = append(w.Obscure, d)
 		w.ObscureSyms = append(w.ObscureSyms, sym)
-		w.Registry.Register(d, regStart.AddDate(0, 0, -(30+rng.Intn(2000))))
-		w.index[d] = &DomainInfo{
-			Kind:       KindObscure,
-			Campaign:   -1,
-			Program:    -1,
-			Affiliate:  -1,
-			Category:   CategoryOther,
-			Alive:      true,
-			Registered: true,
-			BenignRank: -1,
-		}
+		w.register(sym, regStart.AddDate(0, 0, -(30+rng.Intn(2000))), time.Time{})
 	}
 }
 
@@ -264,7 +309,7 @@ func rotateDomains(start, end time.Time, k int) []simclock.Window {
 }
 
 // addAdDomain creates an ad slot for a campaign, registering fresh
-// domains and updating the ground-truth index.
+// domains.
 func (w *World) addAdDomain(rng *randutil.RNG, names *nameGen, c *Campaign,
 	slot simclock.Window, weight float64, aliveProb float64, allowRedirector bool) {
 	cfg := &w.Config
@@ -280,26 +325,13 @@ func (w *World) addAdDomain(rng *randutil.RNG, names *nameGen, c *Campaign,
 		ad.Alive = rng.Bool(aliveProb)
 		ad.Name, ad.Sym = names.Spam()
 		reg := slot.Start.Add(-dayDur(1 + rng.ExpFloat64()*4))
-		w.Registry.Register(ad.Name, reg)
+		var drop time.Time
 		if rng.Bool(0.8) {
-			w.Registry.Drop(ad.Name, slot.End.Add(dayDur(5+rng.Float64()*55)))
+			drop = slot.End.Add(dayDur(5 + rng.Float64()*55))
 		}
-		kind := KindStorefront
-		if ad.Landing {
-			kind = KindLanding
-		}
-		w.index[ad.Name] = &DomainInfo{
-			Kind:       kind,
-			Campaign:   c.ID,
-			Program:    c.Program,
-			Affiliate:  c.Affiliate,
-			Category:   w.campaignCategory(c),
-			Alive:      ad.Alive,
-			Registered: true,
-			BenignRank: -1,
-		}
+		w.register(ad.Sym, reg, drop)
 	}
-	ad.URLSym = w.Syms.Intern(AdURL(c, ad))
+	ad.URLSym = names.AdURL(c, ad)
 	c.Domains = append(c.Domains, ad)
 }
 
@@ -457,37 +489,23 @@ func (w *World) genCampaigns(rng *randutil.RNG, names *nameGen) {
 		// A small slice of web-spam domains are genuine program
 		// storefronts advertised through search spam rather than
 		// e-mail; the crawler tags them, and only the hybrid feed
-		// ever sees them.
+		// ever sees them. Such a storefront is always registered.
 		program, affiliate := -1, -1
-		kind := KindWebOnly
-		category := CategoryOther
 		if webRng.Bool(cfg.WebOnlyTaggedFrac) && len(w.Affiliates) > 0 {
 			affiliate = webRng.Intn(len(w.Affiliates))
 			program = w.Affiliates[affiliate].Program
-			category = w.Programs[program].Category
-			kind = KindStorefront
 		}
 		c := newCampaign(affiliate, program, ClassWebOnly, -1, start, end, 0)
 		name, sym := names.Spam()
-		registered := webRng.Bool(cfg.WebOnlyRegisteredProb) || kind == KindStorefront
+		registered := webRng.Bool(cfg.WebOnlyRegisteredProb) || program >= 0
 		alive := registered && webRng.Bool(cfg.WebOnlyAliveProb)
 		if registered {
-			w.Registry.Register(name, start.Add(-dayDur(1+webRng.ExpFloat64()*10)))
+			w.register(sym, start.Add(-dayDur(1+webRng.ExpFloat64()*10)), time.Time{})
 		}
 		ad := AdDomain{
 			Name: name, Start: start, End: end, Weight: 1, Alive: alive, Sym: sym,
 		}
-		ad.URLSym = w.Syms.Intern(AdURL(c, ad))
+		ad.URLSym = names.AdURL(c, ad)
 		c.Domains = append(c.Domains, ad)
-		w.index[name] = &DomainInfo{
-			Kind:       kind,
-			Campaign:   c.ID,
-			Program:    program,
-			Affiliate:  affiliate,
-			Category:   category,
-			Alive:      alive,
-			Registered: registered,
-			BenignRank: -1,
-		}
 	}
 }

@@ -250,6 +250,12 @@ func TestIndexConsistency(t *testing.T) {
 			if !ok {
 				t.Fatalf("campaign %d domain %s not indexed", i, d.Name)
 			}
+			if byID, _ := w.InfoID(d.Sym); byID != info {
+				t.Fatalf("domain %s: InfoID and Info disagree", d.Name)
+			}
+			if _, ok := w.InfoID(d.URLSym); ok {
+				t.Fatalf("URL of %s indexed as a domain", d.Name)
+			}
 			if d.Redirector {
 				if info.Kind != KindBenign {
 					t.Fatalf("redirector slot %s indexed as %v", d.Name, info.Kind)
@@ -267,6 +273,10 @@ func TestIndexConsistency(t *testing.T) {
 			}
 		}
 	}
+	// A name interned after Generate (poison, junk) is unknown.
+	if _, ok := w.InfoID(w.Syms.Intern("never-generated.example")); ok {
+		t.Fatal("a name interned after Generate has ground truth")
+	}
 }
 
 func TestSpamDomainsRegisteredBeforeAdStart(t *testing.T) {
@@ -280,7 +290,7 @@ func TestSpamDomainsRegisteredBeforeAdStart(t *testing.T) {
 			if d.Redirector {
 				continue
 			}
-			if !w.Registry.ActiveAt(d.Name, d.Start) {
+			if !w.Registry.ActiveAt(d.Sym, d.Start) {
 				t.Fatalf("domain %s not registered at ad start", d.Name)
 			}
 		}

@@ -2,6 +2,7 @@ package ecosystem
 
 import (
 	"fmt"
+	"strconv"
 
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/randutil"
@@ -50,12 +51,16 @@ var (
 // nameGen produces unique domain names of various flavors. It tests
 // uniqueness by interning into the world's symbol table: a name is
 // new exactly when interning it grew the table. No generated name
-// contains "://", so none can collide with an interned URL.
+// contains "://", so none can collide with an interned URL. Names and
+// ad URLs are built in one reused buffer and interned as bytes, so a
+// colliding draw allocates nothing and every name shares the table's
+// string.
 type nameGen struct {
 	rng       *randutil.RNG
 	spamTLD   *randutil.WeightedChoice
 	benignTLD *randutil.WeightedChoice
 	syms      *symtab.Table
+	buf       []byte
 }
 
 func newNameGen(rng *randutil.RNG, syms *symtab.Table) *nameGen {
@@ -67,14 +72,15 @@ func newNameGen(rng *randutil.RNG, syms *symtab.Table) *nameGen {
 	}
 }
 
-// unique retries gen until it produces an unused name, and returns the
-// name with its freshly assigned symbol ID.
-func (g *nameGen) unique(gen func() domain.Name) (domain.Name, symtab.ID) {
+// unique retries gen, which appends a candidate name to its argument,
+// until it produces an unused name, and returns the name with its
+// freshly assigned symbol ID.
+func (g *nameGen) unique(gen func(b []byte) []byte) (domain.Name, symtab.ID) {
 	for i := 0; ; i++ {
-		d := gen()
+		g.buf = gen(g.buf[:0])
 		n := g.syms.Len()
-		if id := g.syms.Intern(string(d)); g.syms.Len() > n {
-			return d, id
+		if id := g.syms.InternBytes(g.buf); g.syms.Len() > n {
+			return domain.Name(g.syms.Lookup(id)), id
 		}
 		if i > 10000 {
 			panic("ecosystem: name space exhausted")
@@ -85,41 +91,46 @@ func (g *nameGen) unique(gen func() domain.Name) (domain.Name, symtab.ID) {
 // Spam returns a fresh spammy-looking registered domain and its symbol
 // ID: word+word+optional digits over a spam-weighted TLD mix.
 func (g *nameGen) Spam() (domain.Name, symtab.ID) {
-	return g.unique(func() domain.Name {
-		a := spamWordsA[g.rng.Intn(len(spamWordsA))]
-		b := spamWordsB[g.rng.Intn(len(spamWordsB))]
-		suffix := ""
+	return g.unique(func(b []byte) []byte {
+		b = append(b, spamWordsA[g.rng.Intn(len(spamWordsA))]...)
+		b = append(b, spamWordsB[g.rng.Intn(len(spamWordsB))]...)
 		if g.rng.Bool(0.65) {
-			suffix = fmt.Sprintf("%d", g.rng.Intn(1000))
+			b = strconv.AppendInt(b, int64(g.rng.Intn(1000)), 10)
 		}
-		tld := spamTLDs[g.spamTLD.Pick()]
-		return domain.Name(a + b + suffix + "." + tld)
+		return append(append(b, '.'), spamTLDs[g.spamTLD.Pick()]...)
 	})
 }
 
 // Benign returns a fresh legitimate-looking domain and its symbol ID.
 func (g *nameGen) Benign() (domain.Name, symtab.ID) {
-	return g.unique(func() domain.Name {
+	return g.unique(func(b []byte) []byte {
 		a := benignWords[g.rng.Intn(len(benignWords))]
-		b := benignWords[g.rng.Intn(len(benignWords))]
-		name := a + b
+		c := benignWords[g.rng.Intn(len(benignWords))]
+		b = append(b, a...)
 		if g.rng.Bool(0.3) {
-			name = a + "-" + b
+			b = append(b, '-')
 		}
+		b = append(b, c...)
 		if g.rng.Bool(0.25) {
-			name += fmt.Sprintf("%d", g.rng.Intn(100))
+			b = strconv.AppendInt(b, int64(g.rng.Intn(100)), 10)
 		}
-		tld := benignTLDs[g.benignTLD.Pick()]
-		return domain.Name(name + "." + tld)
+		return append(append(b, '.'), benignTLDs[g.benignTLD.Pick()]...)
 	})
 }
 
 // Obscure returns a fresh random-string registered domain — the kind a
 // random generator can collide with — and its symbol ID.
 func (g *nameGen) Obscure() (domain.Name, symtab.ID) {
-	return g.unique(func() domain.Name {
-		return domain.Name(g.rng.AlphaNum(6+g.rng.Intn(6)) + ".com")
+	return g.unique(func(b []byte) []byte {
+		return append(g.rng.AppendAlphaNum(b, 6+g.rng.Intn(6)), ".com"...)
 	})
+}
+
+// AdURL interns the advertised URL of an ad slot (AdURL) and returns
+// its symbol ID.
+func (g *nameGen) AdURL(c *Campaign, d AdDomain) symtab.ID {
+	g.buf = appendAdURL(g.buf[:0], c, d)
+	return g.syms.InternBytes(g.buf)
 }
 
 // programName synthesizes an affiliate program name.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"tasterschoice/internal/dnszone"
 	"tasterschoice/internal/domain"
@@ -96,15 +97,57 @@ type World struct {
 	// keeping ID assignment deterministic for every worker count.
 	Syms *symtab.Table
 
-	index       map[domain.Name]*DomainInfo
+	// info is the ground truth of every generated domain, indexed by
+	// its symbol ID and sized to the symbols Generate interned. Kind is
+	// KindUnknown at every other ID (URLs). Generate writes it; readers
+	// take no lock.
+	info        []DomainInfo
 	redirectors []domain.Name
+	// pending logs the registrations Generate draws until the symbol
+	// count, and so the registry's size, is final; nil afterwards.
+	pending regLog
 }
 
-// Info returns ground truth for a domain. ok is false for names the
-// world has never heard of (poison output, junk).
+// registration is one zone-file entry Generate draws: domain d entered
+// its zone at from and, unless to is zero, left it at to.
+type registration struct {
+	d        symtab.ID
+	from, to time.Time
+}
+
+// regLog holds registrations in fixed-size chunks, so it grows without
+// copying what it already holds.
+type regLog [][]registration
+
+const regChunk = 4096
+
+func (l *regLog) add(r registration) {
+	if n := len(*l); n == 0 || len((*l)[n-1]) == regChunk {
+		*l = append(*l, make([]registration, 0, regChunk))
+	}
+	last := &(*l)[len(*l)-1]
+	*last = append(*last, r)
+}
+
+// InfoID returns ground truth for the domain with symbol ID d. ok is
+// false for names the world has never heard of (poison output, junk,
+// and every name interned after Generate).
+func (w *World) InfoID(d symtab.ID) (*DomainInfo, bool) {
+	if int(d) < len(w.info) && w.info[d].Kind != KindUnknown {
+		return &w.info[d], true
+	}
+	return nil, false
+}
+
+// Info returns ground truth for a domain given by name, for names that
+// arrive from outside the pipeline (the HTTP server's requests); code
+// holding a symbol ID calls InfoID.
 func (w *World) Info(d domain.Name) (*DomainInfo, bool) {
-	info, ok := w.index[d]
-	return info, ok
+	id, ok := w.Syms.Find(string(d))
+	if !ok {
+		return nil, false
+	}
+	return w.InfoID(id)
 }
 
 // Redirectors returns the benign domains offering redirection services.
@@ -144,7 +187,8 @@ func (w *World) Poisoner() *Botnet {
 // sanity metric used by tests.
 func (w *World) TaggedUniverse() int {
 	n := 0
-	for _, info := range w.index {
+	for i := range w.info {
+		info := &w.info[i]
 		if info.Alive && info.Category.Tagged() && info.Program >= 0 &&
 			(info.Kind == KindStorefront || info.Kind == KindLanding) {
 			n++
@@ -157,10 +201,18 @@ func (w *World) TaggedUniverse() int {
 // The path carries the campaign id so the crawler can resolve
 // redirections the way real crawlers follow HTTP redirects.
 func AdURL(c *Campaign, d AdDomain) string {
+	return string(appendAdURL(nil, c, d))
+}
+
+// appendAdURL appends AdURL(c, d) to b.
+func appendAdURL(b []byte, c *Campaign, d AdDomain) []byte {
+	b = append(append(b, "http://"...), d.Name...)
 	if d.Redirector {
-		return fmt.Sprintf("http://%s/r/c%d", d.Name, c.ID)
+		b = append(b, "/r/c"...)
+	} else {
+		b = append(b, "/p/c"...)
 	}
-	return fmt.Sprintf("http://%s/p/c%d", d.Name, c.ID)
+	return strconv.AppendInt(b, int64(c.ID), 10)
 }
 
 // ChaffURL builds a URL on a benign domain as embedded by spammers to

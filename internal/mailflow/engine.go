@@ -189,6 +189,9 @@ func (e *Engine) Run() (res *Result, err error) {
 
 	// The junk and poison names are interned on one goroutine while
 	// campaigns are planned; Run waits for it on every return path.
+	// The table's index is sized for them first, so it does not
+	// double while the mint runs.
+	e.syms.Reserve(e.mintSymbols())
 	var m minted
 	var minting sync.WaitGroup
 	minting.Add(1)
@@ -497,6 +500,20 @@ func (e *Engine) mint(m *minted, hpjunk, poison, hujunk *randutil.RNG) {
 	e.huJunk(m, hujunk)
 }
 
+// mintSymbols estimates the symbols mint interns from the configured
+// arrival counts: each minted observation interns at most a name and
+// its URL (Hu's junk reports carry no URL), and a poison arrival mints
+// a name only when it is fresh. Junk counts are taken at their means
+// and fresh poison names at their expected number; counting every
+// poison arrival as fresh would double the index past its final size.
+func (e *Engine) mintSymbols() int {
+	c := &e.Cfg
+	hpjunk := float64(len(junkFeeds)) * c.HoneypotJunkPerDay * e.window.Duration().Hours() / 24
+	poison := float64(c.PoisonBotArrivals)*c.PoisonFreshProbBot +
+		float64(c.PoisonMX2Arrivals)*c.PoisonFreshProbMX2
+	return int(2*(hpjunk+poison) + c.HuJunkReports)
+}
+
 // replay observes minted runs in order.
 func (e *Engine) replay(runs []mintRun) {
 	for _, r := range runs {
@@ -507,11 +524,14 @@ func (e *Engine) replay(runs []mintRun) {
 	}
 }
 
+// junkFeeds are the honeypot-style feeds honeypotJunk draws for.
+var junkFeeds = [...]uint8{fMx1, fMx2, fMx3, fAc1, fAc2}
+
 // honeypotJunk draws each honeypot-style feed's trickle of one-off
 // junk domains (misparsed URLs, garbage hostnames in spam).
 func (e *Engine) honeypotJunk(m *minted, rng *randutil.RNG) {
 	days := e.window.Duration().Hours() / 24
-	for _, fi := range [5]uint8{fMx1, fMx2, fMx3, fAc1, fAc2} {
+	for _, fi := range junkFeeds {
 		n := rng.Poisson(e.Cfg.HoneypotJunkPerDay * days)
 		m.times = uniformTimesNanos(rng, e.window, n, m.times[:0])
 		run := mintRun{feed: fi, obs: make([]mintedObs, 0, n)}

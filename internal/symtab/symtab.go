@@ -170,15 +170,32 @@ func (t *Table) add(s string, pos int, tag uint32) ID {
 	t.index[pos] = uint64(tag)<<32 | uint64(id+1)
 	t.n.Store(uint32(id) + 1) // publish after the slot write
 	if 2*(int(id)+1) > len(t.index) {
-		t.grow()
+		t.resize(2 * len(t.index))
 	}
 	return id
 }
 
-// grow doubles the index, re-placing every slot from its stored tag.
-// Caller holds mu.
-func (t *Table) grow() {
-	next := make([]uint64, 2*len(t.index))
+// Reserve makes room in the index for n more symbols than the table
+// holds, so interning them never grows it: a caller that can bound
+// what a phase interns sizes the index once, at its final size,
+// instead of letting it double as the symbols arrive. IDs are
+// unaffected.
+func (t *Table) Reserve(n int) {
+	t.mu.Lock()
+	size := len(t.index)
+	for 2*(t.Len()+n) > size {
+		size *= 2
+	}
+	if size > len(t.index) {
+		t.resize(size)
+	}
+	t.mu.Unlock()
+}
+
+// resize re-places every slot of the index into a new index of size
+// slots, a power of two, from its stored tag. Caller holds mu.
+func (t *Table) resize(size int) {
+	next := make([]uint64, size)
 	mask := len(next) - 1
 	for _, slot := range t.index {
 		if slot == 0 {

@@ -67,52 +67,81 @@ func TestFind(t *testing.T) {
 	}
 }
 
-// TestIndexGrowth interns across four doublings of the index. After
-// each one it checks that every symbol is still found, that misses
-// stay misses, that InternBytes and Intern agree without adding
-// symbols, that derived URLs keep their IDs, and that the index is at
-// most half full.
+// TestIndexGrowth interns across four doublings of the index, then
+// reserves room for three times the table and interns into it. After
+// each doubling and after the reservation it checks that every symbol
+// is still found, that misses stay misses, that InternBytes and Intern
+// agree without adding symbols, that derived URLs keep their IDs, and
+// that the index is at most half full; once reserved, the index must
+// not grow until the reserved symbols are in.
 func TestIndexGrowth(t *testing.T) {
 	tab := New()
 	ids := map[string]ID{"": 0}
 	urls := map[ID]ID{} // symbol → its AutoURL
-	size, growths := len(tab.index), 0
-	for i := 0; growths < 4; i++ {
+	i := 0
+	add := func() {
 		s := fmt.Sprintf("grow-%d.example", i)
 		ids[s] = tab.Intern(s)
 		if i%3 == 0 {
 			urls[ids[s]] = tab.AutoURL(ids[s])
 			ids["http://"+s+"/"] = urls[ids[s]]
 		}
-		if len(tab.index) == size {
-			continue
-		}
-		growths++
-		size = len(tab.index)
-		n := tab.Len()
+		i++
+	}
+	check := func(stage string) {
+		t.Helper()
+		size, n := len(tab.index), tab.Len()
 		if 2*n > size {
-			t.Fatalf("index of %d slots holds %d symbols", size, n)
+			t.Fatalf("%s: index of %d slots holds %d symbols", stage, size, n)
 		}
 		for s, id := range ids {
 			if got, ok := tab.Find(s); !ok || got != id {
-				t.Fatalf("growth %d: Find(%q) = (%d, %v), want (%d, true)", growths, s, got, ok, id)
+				t.Fatalf("%s: Find(%q) = (%d, %v), want (%d, true)", stage, s, got, ok, id)
 			}
 			if b, in := tab.InternBytes([]byte(s)), tab.Intern(s); b != id || in != id {
-				t.Fatalf("growth %d: InternBytes(%q) = %d, Intern = %d, want %d", growths, s, b, in, id)
+				t.Fatalf("%s: InternBytes(%q) = %d, Intern = %d, want %d", stage, s, b, in, id)
 			}
 			if _, ok := tab.Find(s + "x"); ok {
-				t.Fatalf("growth %d: Find(%q) hit an absent symbol", growths, s+"x")
+				t.Fatalf("%s: Find(%q) hit an absent symbol", stage, s+"x")
 			}
 		}
 		for d, u := range urls {
 			if got := tab.AutoURL(d); got != u {
-				t.Fatalf("growth %d: AutoURL(%d) = %d, was %d", growths, d, got, u)
+				t.Fatalf("%s: AutoURL(%d) = %d, was %d", stage, d, got, u)
 			}
 		}
 		if tab.Len() != n {
-			t.Fatalf("growth %d: lookups of interned symbols grew the table from %d to %d", growths, n, tab.Len())
+			t.Fatalf("%s: lookups of interned symbols grew the table from %d to %d", stage, n, tab.Len())
 		}
 	}
+	size := len(tab.index)
+	for growths := 0; growths < 4; {
+		add()
+		if len(tab.index) != size {
+			growths++
+			size = len(tab.index)
+			check(fmt.Sprintf("growth %d", growths))
+		}
+	}
+
+	extra := 3 * tab.Len()
+	tab.Reserve(extra)
+	reserved := len(tab.index)
+	if reserved <= size || 2*(tab.Len()+extra) > reserved || reserved >= 4*(tab.Len()+extra) {
+		t.Fatalf("Reserve(%d) at %d symbols: index of %d slots, was %d", extra, tab.Len(), reserved, size)
+	}
+	check("reserved")
+	tab.Reserve(extra) // already room: a no-op
+	if len(tab.index) != reserved {
+		t.Fatalf("second Reserve resized the index to %d slots", len(tab.index))
+	}
+	for want := tab.Len() + extra; tab.Len() < want; {
+		add()
+		if len(tab.index) != reserved {
+			t.Fatalf("index grew to %d slots at %d of %d reserved symbols", len(tab.index), tab.Len(), want)
+		}
+	}
+	check("filled")
 }
 
 func TestAutoURL(t *testing.T) {

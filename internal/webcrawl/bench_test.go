@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tasterschoice/internal/ecosystem"
+	"tasterschoice/internal/symtab"
 )
 
 func BenchmarkVisit(b *testing.B) {
@@ -19,15 +20,20 @@ func BenchmarkVisit(b *testing.B) {
 	cfg.RXLoudAffiliates = 4
 	w := ecosystem.MustGenerate(cfg)
 	cr := New(w)
-	var urls []string
+	type visit struct {
+		d   symtab.ID
+		url string
+	}
+	var visits []visit
 	for i := range w.Campaigns {
 		c := &w.Campaigns[i]
 		for _, d := range c.Domains {
-			urls = append(urls, ecosystem.AdURL(c, d))
+			visits = append(visits, visit{d.Sym, ecosystem.AdURL(c, d)})
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cr.Visit(urls[i%len(urls)])
+		v := visits[i%len(visits)]
+		_ = cr.Visit(v.d, v.url)
 	}
 }

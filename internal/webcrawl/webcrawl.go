@@ -5,18 +5,21 @@
 // RX program, the affiliate identifier embedded in the page.
 //
 // The crawler consults ecosystem ground truth the way a real crawler
-// consults the live web: through the URL it was given. Domain-only
-// feeds lose redirection context (crawling a URL shortener's root page
-// reaches only its homepage), exactly as in the paper.
+// consults the live web: through the domain and URL it was given.
+// Domain-only feeds lose redirection context (crawling a URL
+// shortener's root page reaches only its homepage), exactly as in the
+// paper.
 package webcrawl
 
 import (
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/ecosystem"
+	"tasterschoice/internal/symtab"
 )
 
 // Result is the outcome of one URL visit.
 type Result struct {
+	// URL is the URL Visit was given, empty for a domain's root.
 	URL string
 	// Domain is the registered domain of the visited URL.
 	Domain domain.Name
@@ -43,45 +46,37 @@ type Result struct {
 // the in-process simulator (Crawler here) or the real-HTTP
 // implementation in internal/webhost.
 type Visitor interface {
-	// Visit fetches a URL, following redirects, and classifies the
-	// final page.
-	Visit(rawURL string) Result
+	// Visit fetches rawURL, a URL whose registered domain has symbol
+	// ID d in the world's table, follows redirects, and classifies the
+	// final page. An empty rawURL visits the domain's root,
+	// "http://<domain>/", the way the paper crawls domain-only feeds.
+	Visit(d symtab.ID, rawURL string) Result
 }
 
-// Crawler visits URLs against a generated world.
+// Crawler visits URLs against a generated world. It reads the domain's
+// ground truth by its ID, so it parses no URL: the URL matters only
+// for a redirection service, whose path carries the campaign token.
 type Crawler struct {
 	World *ecosystem.World
-	Rules *domain.Rules
 	// Visits counts URL fetches (including redirect hops).
 	Visits int64
 }
 
-// New returns a crawler over the world using default domain rules.
+// New returns a crawler over the world.
 func New(w *ecosystem.World) *Crawler {
-	return &Crawler{World: w, Rules: domain.DefaultRules}
+	return &Crawler{World: w}
 }
 
-// VisitDomain crawls a bare domain the way the paper handles
-// domain-only feeds: prepend "http://" and visit the root.
-func (c *Crawler) VisitDomain(d domain.Name) Result {
-	return c.Visit("http://" + string(d) + "/")
-}
-
-// Visit fetches a URL, following any redirect to the storefront.
-func (c *Crawler) Visit(rawURL string) Result {
+// Visit fetches a URL on domain d, following any redirect to the
+// storefront.
+func (c *Crawler) Visit(d symtab.ID, rawURL string) Result {
 	c.Visits++
-	res := Result{URL: rawURL, Program: -1, Affiliate: -1}
-	d, err := c.Rules.FromURL(rawURL)
-	if err != nil {
-		return res // unparseable host: no page
-	}
-	res.Domain = d
-	res.Final = d
-	info, known := c.World.Info(d)
+	name := domain.Name(c.World.Syms.Lookup(d))
+	res := Result{URL: rawURL, Domain: name, Final: name, Program: -1, Affiliate: -1}
+	info, known := c.World.InfoID(d)
 	if !known {
 		return res // NXDOMAIN or dead host
 	}
-	campaignID, redirect, hasToken := ecosystem.DecodeCampaignToken(rawURL)
 
 	switch info.Kind {
 	case ecosystem.KindBenign:
@@ -89,8 +84,10 @@ func (c *Crawler) Visit(rawURL string) Result {
 		// A redirection-service URL with a valid token forwards to
 		// the campaign's storefront; anything else is just a benign
 		// page.
-		if info.Redirector && redirect && hasToken {
-			c.followToStorefront(&res, campaignID)
+		if info.Redirector {
+			if campaignID, redirect, ok := ecosystem.DecodeCampaignToken(rawURL); ok && redirect {
+				c.followToStorefront(&res, campaignID)
+			}
 		}
 		return res
 	case ecosystem.KindObscure, ecosystem.KindWebOnly:

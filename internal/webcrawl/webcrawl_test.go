@@ -3,7 +3,6 @@ package webcrawl
 import (
 	"testing"
 
-	"tasterschoice/internal/domain"
 	"tasterschoice/internal/ecosystem"
 )
 
@@ -46,7 +45,7 @@ func TestVisitAliveStorefrontTagged(t *testing.T) {
 	if !ok {
 		t.Skip("no storefront slot in test world")
 	}
-	res := cr.Visit(ecosystem.AdURL(c, d))
+	res := cr.Visit(d.Sym, ecosystem.AdURL(c, d))
 	if !res.OK || !res.Tagged {
 		t.Fatalf("storefront visit: %+v", res)
 	}
@@ -68,7 +67,7 @@ func TestVisitDeadDomainNotOK(t *testing.T) {
 	if !ok {
 		t.Skip("no dead slot")
 	}
-	res := cr.Visit(ecosystem.AdURL(c, d))
+	res := cr.Visit(d.Sym, ecosystem.AdURL(c, d))
 	if res.OK || res.Tagged {
 		t.Fatalf("dead domain crawled OK: %+v", res)
 	}
@@ -83,7 +82,7 @@ func TestVisitLandingRedirectsToTag(t *testing.T) {
 	if !ok {
 		t.Skip("no landing slot")
 	}
-	res := cr.Visit(ecosystem.AdURL(c, d))
+	res := cr.Visit(d.Sym, ecosystem.AdURL(c, d))
 	if !res.OK || !res.Tagged || res.Program != c.Program {
 		t.Fatalf("landing visit: %+v", res)
 	}
@@ -99,7 +98,7 @@ func TestRedirectorURLvsRoot(t *testing.T) {
 		t.Skip("no redirector slot")
 	}
 	// Full URL (with token): reaches and tags the storefront.
-	res := cr.Visit(ecosystem.AdURL(c, d))
+	res := cr.Visit(d.Sym, ecosystem.AdURL(c, d))
 	if !res.OK || !res.Tagged || res.Program != c.Program {
 		t.Fatalf("redirector URL: %+v", res)
 	}
@@ -107,7 +106,7 @@ func TestRedirectorURLvsRoot(t *testing.T) {
 		t.Fatalf("recorded domain %s, want redirector %s", res.Domain, d.Name)
 	}
 	// Bare domain (domain-only feed): benign homepage, no tag.
-	root := cr.VisitDomain(d.Name)
+	root := cr.Visit(d.Sym, "")
 	if !root.OK || root.Tagged {
 		t.Fatalf("redirector root: %+v", root)
 	}
@@ -123,7 +122,7 @@ func TestRXAffiliateKeyExtraction(t *testing.T) {
 	if !ok {
 		t.Skip("no RX slot")
 	}
-	res := cr.Visit(ecosystem.AdURL(c, d))
+	res := cr.Visit(d.Sym, ecosystem.AdURL(c, d))
 	if !res.Tagged {
 		t.Fatalf("RX storefront untagged: %+v", res)
 	}
@@ -136,7 +135,7 @@ func TestRXAffiliateKeyExtraction(t *testing.T) {
 		return c.Program >= 0 && c.Program != rx.ID && d.Alive && !d.Redirector
 	})
 	if ok {
-		if res := cr.Visit(ecosystem.AdURL(c2, d2)); res.AffiliateKey != "" {
+		if res := cr.Visit(d2.Sym, ecosystem.AdURL(c2, d2)); res.AffiliateKey != "" {
 			t.Fatalf("non-RX storefront leaked key %q", res.AffiliateKey)
 		}
 	}
@@ -145,11 +144,11 @@ func TestRXAffiliateKeyExtraction(t *testing.T) {
 func TestVisitUnknownDomain(t *testing.T) {
 	w := testWorld(t)
 	cr := New(w)
-	res := cr.Visit("http://no-such-domain-xyz123.com/p/c1")
+	res := cr.Visit(w.Syms.Intern("no-such-domain-xyz123.com"), "http://no-such-domain-xyz123.com/p/c1")
 	if res.OK || res.Tagged {
 		t.Fatalf("unknown domain: %+v", res)
 	}
-	res = cr.Visit("http://192.168.0.1/p/c1")
+	res = cr.Visit(w.Syms.Intern("192.168.0.1"), "http://192.168.0.1/p/c1")
 	if res.OK {
 		t.Fatalf("IP URL: %+v", res)
 	}
@@ -159,11 +158,11 @@ func TestVisitBenignAndObscure(t *testing.T) {
 	w := testWorld(t)
 	cr := New(w)
 	b := w.Benign[0]
-	res := cr.VisitDomain(b.Name)
+	res := cr.Visit(b.Sym, "")
 	if !res.OK || res.Tagged {
 		t.Fatalf("benign: %+v", res)
 	}
-	res = cr.VisitDomain(w.Obscure[0])
+	res = cr.Visit(w.ObscureSyms[0], "")
 	if !res.OK || res.Tagged {
 		t.Fatalf("obscure: %+v", res)
 	}
@@ -176,7 +175,8 @@ func TestVisitRedirectorBadToken(t *testing.T) {
 		t.Skip("no redirectors")
 	}
 	r := w.Redirectors()[0]
-	res := cr.Visit("http://" + string(r) + "/r/c999999999")
+	id, _ := w.Syms.Find(string(r))
+	res := cr.Visit(id, "http://"+string(r)+"/r/c999999999")
 	if !res.OK {
 		t.Fatal("redirector homepage should be OK")
 	}
@@ -195,7 +195,7 @@ func TestWebOnlyDomainCrawl(t *testing.T) {
 		t.Skip("no live web-only domain")
 	}
 	_ = c
-	res := cr.VisitDomain(d.Name)
+	res := cr.Visit(d.Sym, "")
 	if !res.OK || res.Tagged {
 		t.Fatalf("web-only: %+v", res)
 	}
@@ -205,7 +205,7 @@ func TestVisitCounts(t *testing.T) {
 	w := testWorld(t)
 	cr := New(w)
 	before := cr.Visits
-	cr.VisitDomain(domain.Name("nothing.example"))
+	cr.Visit(w.Syms.Intern("nothing.example"), "")
 	if cr.Visits != before+1 {
 		t.Fatalf("Visits = %d", cr.Visits)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tasterschoice/internal/ecosystem"
+	"tasterschoice/internal/symtab"
 )
 
 // BenchmarkHTTPVisit measures a full crawl round trip: TCP connect (or
@@ -27,20 +28,25 @@ func BenchmarkHTTPVisit(b *testing.B) {
 	}
 	defer srv.Close()
 	cr := NewCrawler(w, srv, addr.String())
-	var urls []string
+	type visit struct {
+		d   symtab.ID
+		url string
+	}
+	var visits []visit
 	for i := range w.Campaigns {
 		c := &w.Campaigns[i]
 		for _, d := range c.Domains {
 			if d.Alive {
-				urls = append(urls, ecosystem.AdURL(c, d))
+				visits = append(visits, visit{d.Sym, ecosystem.AdURL(c, d)})
 			}
 		}
 	}
-	if len(urls) == 0 {
+	if len(visits) == 0 {
 		b.Fatal("no live URLs")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cr.Visit(urls[i%len(urls)])
+		v := visits[i%len(visits)]
+		_ = cr.Visit(v.d, v.url)
 	}
 }

@@ -28,7 +28,7 @@ func TestCrawlerThroughFaultyDialer(t *testing.T) {
 	if !ok {
 		t.Skip("no storefront slot")
 	}
-	res := cr.Visit(ecosystem.AdURL(c, slot))
+	res := cr.Visit(slot.Sym, ecosystem.AdURL(c, slot))
 	if !res.OK || !res.Tagged || res.Program != c.Program {
 		t.Fatalf("crawl through faults diverged: %+v", res)
 	}

@@ -12,6 +12,7 @@ import (
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/resilient"
+	"tasterschoice/internal/symtab"
 	"tasterschoice/internal/webcrawl"
 )
 
@@ -75,32 +76,25 @@ func NewCrawlerWithDialer(w *ecosystem.World, srv *Server, serverAddr string,
 	return c
 }
 
-// VisitDomain crawls a bare domain root, as with domain-only feeds.
-func (c *Crawler) VisitDomain(d domain.Name) webcrawl.Result {
-	return c.Visit("http://" + string(d) + "/")
-}
-
-// VisitDomainContext is VisitDomain bounded by ctx.
-func (c *Crawler) VisitDomainContext(ctx context.Context, d domain.Name) webcrawl.Result {
-	return c.VisitContext(ctx, "http://"+string(d)+"/")
-}
-
-// Visit fetches the URL over HTTP and classifies the final page.
-func (c *Crawler) Visit(rawURL string) webcrawl.Result {
-	return c.VisitContext(context.Background(), rawURL)
+// Visit fetches rawURL, a URL on the domain with symbol ID d, over
+// HTTP and classifies the final page. An empty rawURL fetches the
+// domain's root, as with domain-only feeds.
+func (c *Crawler) Visit(d symtab.ID, rawURL string) webcrawl.Result {
+	return c.VisitContext(context.Background(), d, rawURL)
 }
 
 // VisitContext is Visit bounded by ctx: cancellation aborts the fetch
 // (including mid-redirect and mid-body) and the result reports the page
 // as unreachable, the same as a dead host.
-func (c *Crawler) VisitContext(ctx context.Context, rawURL string) webcrawl.Result {
-	res := webcrawl.Result{URL: rawURL, Program: -1, Affiliate: -1}
-	if d, err := domain.DefaultRules.FromURL(rawURL); err == nil {
-		res.Domain = d
-		res.Final = d
+func (c *Crawler) VisitContext(ctx context.Context, d symtab.ID, rawURL string) webcrawl.Result {
+	name := domain.Name(c.world.Syms.Lookup(d))
+	res := webcrawl.Result{URL: rawURL, Domain: name, Final: name, Program: -1, Affiliate: -1}
+	fetch := rawURL
+	if fetch == "" {
+		fetch = "http://" + string(name) + "/"
 	}
 	c.Fetches++
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fetch, nil)
 	if err != nil {
 		return res
 	}

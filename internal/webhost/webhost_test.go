@@ -64,7 +64,7 @@ func TestHTTPStorefrontTagged(t *testing.T) {
 	if !ok {
 		t.Skip("no storefront slot")
 	}
-	res := cr.Visit(ecosystem.AdURL(c, slot))
+	res := cr.Visit(slot.Sym, ecosystem.AdURL(c, slot))
 	if !res.OK || !res.Tagged || res.Program != c.Program {
 		t.Fatalf("result: %+v", res)
 	}
@@ -78,7 +78,7 @@ func TestHTTPLandingRedirectFollowed(t *testing.T) {
 	if !ok {
 		t.Skip("no landing slot")
 	}
-	res := cr.Visit(ecosystem.AdURL(c, slot))
+	res := cr.Visit(slot.Sym, ecosystem.AdURL(c, slot))
 	if !res.OK || !res.Tagged {
 		t.Fatalf("result: %+v", res)
 	}
@@ -98,7 +98,7 @@ func TestHTTPRXAffiliateExtraction(t *testing.T) {
 	if !ok {
 		t.Skip("no RX slot")
 	}
-	res := cr.Visit(ecosystem.AdURL(c, slot))
+	res := cr.Visit(slot.Sym, ecosystem.AdURL(c, slot))
 	want := w.Affiliates[c.Affiliate].Key
 	if res.AffiliateKey != want || res.Affiliate != c.Affiliate {
 		t.Fatalf("affiliate key %q (id %d), want %q (id %d)",
@@ -114,15 +114,15 @@ func TestHTTPDeadDomainUnreachable(t *testing.T) {
 	if !ok {
 		t.Skip("no dead slot")
 	}
-	res := cr.VisitDomain(slot.Name)
+	res := cr.Visit(slot.Sym, "")
 	if res.OK {
 		t.Fatalf("dead domain fetched: %+v", res)
 	}
 }
 
 func TestHTTPUnknownDomainUnreachable(t *testing.T) {
-	_, cr := setup(t)
-	res := cr.Visit("http://never-registered-anywhere.com/")
+	w, cr := setup(t)
+	res := cr.Visit(w.Syms.Intern("never-registered-anywhere.com"), "")
 	if res.OK {
 		t.Fatalf("unknown domain fetched: %+v", res)
 	}
@@ -137,11 +137,11 @@ func TestHTTPRedirectorRootBenign(t *testing.T) {
 		t.Skip("no redirector slot")
 	}
 	// Token URL tags; bare root does not.
-	res := cr.Visit(ecosystem.AdURL(c, slot))
+	res := cr.Visit(slot.Sym, ecosystem.AdURL(c, slot))
 	if !res.OK || !res.Tagged {
 		t.Fatalf("token URL: %+v", res)
 	}
-	root := cr.VisitDomain(slot.Name)
+	root := cr.Visit(slot.Sym, "")
 	if !root.OK || root.Tagged {
 		t.Fatalf("redirector root: %+v", root)
 	}
@@ -164,8 +164,8 @@ func TestHTTPCrawlerAgreesWithSimulatedCrawler(t *testing.T) {
 		}
 		for _, slot := range c.Domains {
 			url := ecosystem.AdURL(c, slot)
-			httpRes := cr.Visit(url)
-			simRes := sim.Visit(url)
+			httpRes := cr.Visit(slot.Sym, url)
+			simRes := sim.Visit(slot.Sym, url)
 			if httpRes.OK != simRes.OK || httpRes.Tagged != simRes.Tagged {
 				t.Fatalf("disagreement on %s: http={ok:%v tag:%v} sim={ok:%v tag:%v}",
 					url, httpRes.OK, httpRes.Tagged, simRes.OK, simRes.Tagged)
