@@ -9,10 +9,11 @@
 // table is identical to an uninterrupted run. With -retry-failed N,
 // transiently failed seeds are re-run up to N extra times (with
 // backoff) before being reported in the "failed seeds: N" non-zero
-// exit.
+// exit. -workers bounds how many seeds run at once; the table does
+// not depend on it.
 //
-// The sweep core lives in internal/distsweep, shared with cmd/sweepd,
-// which scales the same sweep across worker processes.
+// The sweep core (checkpoint, resume, retry, metric extraction and
+// the table renderer) lives in internal/sweep.
 //
 // Usage:
 //
@@ -29,9 +30,9 @@ import (
 	"syscall"
 
 	"tasterschoice/internal/checkpoint"
-	"tasterschoice/internal/distsweep"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/obs"
+	"tasterschoice/internal/sweep"
 )
 
 // validate rejects flag values the sweep would otherwise only trip
@@ -101,7 +102,7 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics\n", ms.Addr())
 	}
 
-	cfg := distsweep.Config{
+	cfg := sweep.Config{
 		Seeds:          *seeds,
 		Small:          *small,
 		Workers:        *workers,
@@ -110,7 +111,7 @@ func main() {
 		Errw:           os.Stderr,
 		StoreMetrics:   storeMetrics,
 	}
-	failed, err := distsweep.RunLocal(ctx, cfg, distsweep.ScenarioRunner(*small, m, tracer), os.Stdout)
+	failed, err := sweep.RunLocal(ctx, cfg, sweep.ScenarioRunner(*small, m, tracer), os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		os.Exit(1)

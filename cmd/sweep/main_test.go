@@ -6,19 +6,19 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"tasterschoice/internal/distsweep"
-	"tasterschoice/internal/resilient"
+	"tasterschoice/internal/sweep"
 )
 
-// The sweep core's own tests live in internal/distsweep (resume
-// byte-identity, checkpoint parameter matching, failure counting).
-// Here we pin the -retry-failed flag's contract: a transiently
-// failing seed is re-run within the same sweep and only a seed that
-// exhausts its retry budget lands in the failed count.
+// The sweep core's own tests live in internal/sweep (resume
+// byte-identity, checkpoint parameter matching, failure counting, the
+// golden table). Here we pin the -retry-failed flag's contract: a
+// transiently failing seed is re-run within the same sweep and only a
+// seed that exhausts its retry budget lands in the failed count.
 
 // flakySeed fails its first n attempts for one seed index, then
 // succeeds; all other seeds succeed immediately.
@@ -41,18 +41,30 @@ func (f *flakySeed) run(i int, seed uint64) (map[string]float64, error) {
 	return map[string]float64{"Hu tagged coverage %": 50 + float64(i)}, nil
 }
 
+// coverageRow returns the fields of the table's "Hu tagged coverage %"
+// row: name words, mean, stddev, min, max and N.
+func coverageRow(t *testing.T, table string) []string {
+	t.Helper()
+	for _, line := range strings.Split(table, "\n") {
+		if strings.HasPrefix(line, "Hu tagged coverage %") {
+			return strings.Fields(line)
+		}
+	}
+	t.Fatalf("table has no coverage row:\n%s", table)
+	return nil
+}
+
 func TestRetryFailedReRunsTransientSeeds(t *testing.T) {
 	var slept []time.Duration
 	flaky := &flakySeed{seed: 2, fails: 2, calls: map[int]int{}}
-	cfg := distsweep.Config{
-		Seeds:        4,
-		Small:        true,
-		Workers:      1,
-		RetryFailed:  2,
-		RetryBackoff: resilient.Backoff{Base: time.Millisecond, Max: time.Millisecond},
-		Sleep:        func(d time.Duration) { slept = append(slept, d) },
+	cfg := sweep.Config{
+		Seeds:       4,
+		Small:       true,
+		Workers:     1,
+		RetryFailed: 2,
+		Sleep:       func(d time.Duration) { slept = append(slept, d) },
 	}
-	failed, err := distsweep.RunLocal(context.Background(), cfg, flaky.run, &bytes.Buffer{})
+	failed, err := sweep.RunLocal(context.Background(), cfg, flaky.run, &bytes.Buffer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +81,14 @@ func TestRetryFailedReRunsTransientSeeds(t *testing.T) {
 
 func TestRetryFailedBudgetExhaustedCountsSeed(t *testing.T) {
 	flaky := &flakySeed{seed: 1, permFail: true, calls: map[int]int{}}
-	cfg := distsweep.Config{
-		Seeds:        3,
-		Small:        true,
-		Workers:      1,
-		RetryFailed:  2,
-		RetryBackoff: resilient.Backoff{Base: time.Millisecond, Max: time.Millisecond},
-		Sleep:        func(time.Duration) {},
+	cfg := sweep.Config{
+		Seeds:       3,
+		Small:       true,
+		Workers:     1,
+		RetryFailed: 2,
+		Sleep:       func(time.Duration) {},
 	}
-	failed, err := distsweep.RunLocal(context.Background(), cfg, flaky.run, &bytes.Buffer{})
+	failed, err := sweep.RunLocal(context.Background(), cfg, flaky.run, &bytes.Buffer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +146,97 @@ func TestValidateFlags(t *testing.T) {
 // -retry-failed a failing seed is tried exactly once.
 func TestRetryDisabledByDefault(t *testing.T) {
 	flaky := &flakySeed{seed: 0, permFail: true, calls: map[int]int{}}
-	failed, err := distsweep.RunLocal(context.Background(),
-		distsweep.Config{Seeds: 2, Small: true, Workers: 1}, flaky.run, &bytes.Buffer{})
+	failed, err := sweep.RunLocal(context.Background(),
+		sweep.Config{Seeds: 2, Small: true, Workers: 1}, flaky.run, &bytes.Buffer{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if failed != 1 || flaky.calls[0] != 1 {
 		t.Fatalf("failed=%d calls=%d, want 1 and 1", failed, flaky.calls[0])
+	}
+}
+
+// TestRetryHealsTransientFailure pins what a healed seed leaves
+// behind at the default worker count: it ran three times with two
+// backoff pauses between, and its metrics reach the table, so the
+// coverage row counts all four seeds.
+func TestRetryHealsTransientFailure(t *testing.T) {
+	var slept []time.Duration
+	flaky := &flakySeed{seed: 2, fails: 2, calls: map[int]int{}}
+	cfg := sweep.Config{
+		Seeds:       4,
+		Small:       true,
+		Workers:     4,
+		RetryFailed: 2,
+		Sleep:       func(d time.Duration) { slept = append(slept, d) },
+	}
+	var out bytes.Buffer
+	failed, err := sweep.RunLocal(context.Background(), cfg, flaky.run, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed != 0 || flaky.calls[2] != 3 || len(slept) != 2 {
+		t.Fatalf("failed=%d calls=%d sleeps=%d, want 0, 3 and 2", failed, flaky.calls[2], len(slept))
+	}
+	// Seeds 0-3 give 50..53, so N is 4 and the mean 51.50.
+	row := coverageRow(t, out.String())
+	if got := strings.Join(row[4:], " "); got != "51.50 1.29 50.00 53.00 4" {
+		t.Fatalf("coverage row stats = %q, want the healed seed counted", got)
+	}
+}
+
+// TestRetryExhaustsBudget pins that a seed which never succeeds is
+// tried 1+N times for a budget of N, pauses between each try, and
+// has its last error reported.
+func TestRetryExhaustsBudget(t *testing.T) {
+	flaky := &flakySeed{seed: 1, permFail: true, calls: map[int]int{}}
+	sleeps := 0
+	var errw bytes.Buffer
+	cfg := sweep.Config{
+		Seeds:       3,
+		Small:       true,
+		Workers:     1,
+		RetryFailed: 4,
+		Sleep:       func(time.Duration) { sleeps++ },
+		Errw:        &errw,
+	}
+	failed, err := sweep.RunLocal(context.Background(), cfg, flaky.run, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed != 1 || flaky.calls[1] != 5 || sleeps != 4 {
+		t.Fatalf("failed=%d calls=%d sleeps=%d, want 1, 5 (1 + 4 retries) and 4", failed, flaky.calls[1], sleeps)
+	}
+	if want := "sweep: seed 8919: transient blip\n"; errw.String() != want {
+		t.Fatalf("stderr = %q, want %q", errw.String(), want)
+	}
+}
+
+// TestRetryZeroExtraIsPassthrough pins that a retry budget of zero,
+// or a negative one, tries a failing seed exactly once, never pauses,
+// and reports its error unchanged.
+func TestRetryZeroExtraIsPassthrough(t *testing.T) {
+	for _, extra := range []int{0, -1} {
+		flaky := &flakySeed{seed: 0, permFail: true, calls: map[int]int{}}
+		sleeps := 0
+		var errw bytes.Buffer
+		cfg := sweep.Config{
+			Seeds:       2,
+			Small:       true,
+			Workers:     1,
+			RetryFailed: extra,
+			Sleep:       func(time.Duration) { sleeps++ },
+			Errw:        &errw,
+		}
+		failed, err := sweep.RunLocal(context.Background(), cfg, flaky.run, &bytes.Buffer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed != 1 || flaky.calls[0] != 1 || sleeps != 0 {
+			t.Fatalf("RetryFailed=%d: failed=%d calls=%d sleeps=%d, want 1, 1 and 0", extra, failed, flaky.calls[0], sleeps)
+		}
+		if want := "sweep: seed 1000: transient blip\n"; errw.String() != want {
+			t.Fatalf("RetryFailed=%d: stderr = %q, want %q", extra, errw.String(), want)
+		}
 	}
 }

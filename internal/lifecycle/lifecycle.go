@@ -1,14 +1,11 @@
-// Package lifecycle is the run/drain vocabulary of the operational
-// stack: how servers stop without losing work, how supervised
-// goroutines restart without leaking, and how an operator asks "is
-// this process alive and ready".
+// Package lifecycle is the drain vocabulary of the operational stack:
+// how servers stop without losing work.
 //
-// PR 1 made the network layer survivable (retry, breaker, fault
-// injection); this package makes the *processes* survivable. Every
-// server in the pipeline (smtpd, dnsbl, feedsync, webhost, mta)
-// implements Server: Shutdown stops accepting new work, lets in-flight
-// sessions finish, and force-closes only when the caller's context
-// expires. Stack composes servers into one ordered unit — started
+// Every server in the pipeline (smtpd, dnsblplane, feedsync, webhost,
+// mta) implements Server: Shutdown stops accepting new work, lets
+// in-flight sessions finish, and force-closes only when the caller's
+// context expires. Run drains one server when its context is
+// cancelled. Stack composes servers into one ordered unit — started
 // first, drained last — so a SIGTERM drains the mail path before the
 // blacklist it queries.
 package lifecycle

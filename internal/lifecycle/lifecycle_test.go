@@ -2,16 +2,9 @@ package lifecycle
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"tasterschoice/internal/resilient"
 )
 
 // fakeServer records shutdown order and can stall until force-closed.
@@ -72,87 +65,6 @@ func TestStackShutdownContinuesPastStuckServer(t *testing.T) {
 	}
 }
 
-func TestGroupCapturesPanic(t *testing.T) {
-	g := NewGroup(context.Background())
-	g.Go("boom", func(ctx context.Context) error {
-		panic("kaboom")
-	})
-	err := g.Wait()
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want PanicError", err)
-	}
-	if pe.Name != "boom" || fmt.Sprint(pe.Value) != "kaboom" || len(pe.Stack) == 0 {
-		t.Fatalf("panic not captured faithfully: %+v", pe)
-	}
-	if g.Panics() != 1 {
-		t.Fatalf("panics = %d, want 1", g.Panics())
-	}
-}
-
-func TestGroupFailureCancelsSiblings(t *testing.T) {
-	g := NewGroup(context.Background())
-	siblingStopped := make(chan struct{})
-	g.Go("sibling", func(ctx context.Context) error {
-		<-ctx.Done()
-		close(siblingStopped)
-		return nil
-	})
-	g.Go("failer", func(ctx context.Context) error {
-		return errors.New("fatal")
-	})
-	if err := g.Wait(); err == nil || err.Error() != "fatal" {
-		t.Fatalf("err = %v, want fatal", err)
-	}
-	select {
-	case <-siblingStopped:
-	default:
-		t.Fatal("sibling survived a terminal failure")
-	}
-}
-
-func TestSuperviseRestartsUntilBudget(t *testing.T) {
-	g := NewGroup(context.Background())
-	var runs atomic.Int64
-	g.Supervise("flappy", Restart{
-		Max:     3,
-		Backoff: resilient.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond},
-	}, func(ctx context.Context) error {
-		runs.Add(1)
-		return errors.New("still broken")
-	})
-	err := g.Wait()
-	if err == nil {
-		t.Fatal("exhausted restart budget reported success")
-	}
-	if got := runs.Load(); got != 4 { // initial run + 3 restarts
-		t.Fatalf("ran %d times, want 4", got)
-	}
-	if g.Restarts() != 3 {
-		t.Fatalf("restarts = %d, want 3", g.Restarts())
-	}
-}
-
-func TestSuperviseRecoversAfterRestart(t *testing.T) {
-	g := NewGroup(context.Background())
-	var runs atomic.Int64
-	g.Supervise("heals", Restart{
-		Max:     5,
-		Backoff: resilient.Backoff{Base: time.Millisecond, Max: time.Millisecond},
-	}, func(ctx context.Context) error {
-		if runs.Add(1) < 3 {
-			panic("transient")
-		}
-		return nil // healed
-	})
-	if err := g.Wait(); err != nil {
-		t.Fatalf("healed task still reported failure: %v", err)
-	}
-	if runs.Load() != 3 {
-		t.Fatalf("ran %d times, want 3", runs.Load())
-	}
-}
-
 func TestRunDrainsOnCancel(t *testing.T) {
 	var order []string
 	var mu sync.Mutex
@@ -174,65 +86,4 @@ func TestRunDrainsOnCancel(t *testing.T) {
 	if len(order) != 1 {
 		t.Fatal("server was not shut down")
 	}
-}
-
-func TestProbes(t *testing.T) {
-	p := &Probes{}
-	if err := p.Ready(); !errors.Is(err, ErrNotReady) {
-		t.Fatalf("empty registry ready: %v", err)
-	}
-	p.SetReady("smtpd", true)
-	p.SetReady("dnsbl", false)
-	if err := p.Ready(); !errors.Is(err, ErrNotReady) {
-		t.Fatal("half-ready stack reported ready")
-	}
-	p.SetReady("dnsbl", true)
-	if err := p.Ready(); err != nil {
-		t.Fatal(err)
-	}
-
-	hErr := errors.New("wedged")
-	var healthy atomic.Bool
-	healthy.Store(true)
-	p.Register("pipeline", func(ctx context.Context) error {
-		if healthy.Load() {
-			return nil
-		}
-		return hErr
-	})
-	if err := p.Healthy(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	healthy.Store(false)
-	if err := p.Healthy(context.Background()); !errors.Is(err, hErr) {
-		t.Fatalf("err = %v, want wrapped check failure", err)
-	}
-
-	// HTTP contract: 503 while unhealthy, 200 once healthy again.
-	ts := httptest.NewServer(p.Handler())
-	defer ts.Close()
-	if code := getStatus(t, ts.URL+"/healthz"); code != 503 {
-		t.Fatalf("/healthz = %d, want 503", code)
-	}
-	healthy.Store(true)
-	if code := getStatus(t, ts.URL+"/healthz"); code != 200 {
-		t.Fatalf("/healthz = %d, want 200", code)
-	}
-	if code := getStatus(t, ts.URL+"/readyz"); code != 200 {
-		t.Fatalf("/readyz = %d, want 200", code)
-	}
-	p.SetReady("smtpd", false) // draining
-	if code := getStatus(t, ts.URL+"/readyz"); code != 503 {
-		t.Fatalf("/readyz during drain = %d, want 503", code)
-	}
-}
-
-func getStatus(t *testing.T, url string) int {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
 }

@@ -57,25 +57,20 @@ var classTable = map[string]Class{
 	"mailflow": ClassDeterministic,
 	"report":   ClassDeterministic,
 
-	// Engine with a wire protocol: distsweep keeps the strict engine
-	// contract (its byte-identity guarantee is a determinism claim) but
-	// opts into the edge packages' ctxblocking contract below, since it
-	// dials, accepts and parks on channels like one.
-	"distsweep": ClassEngine,
-
 	// The sharded query plane serves sockets like an edge package but
 	// keeps the strict engine contract: an answer must be a pure
 	// function of (query bytes, listing state), replayable under an
-	// injected clock, which is what the chaos oracle asserts. Like
-	// distsweep it opts into ctxblocking below, and its read loop joins
-	// the stringalloc hot-path set.
+	// injected clock, which is what the chaos oracle asserts. Because
+	// its server blocks on sockets, it also opts into ctxblocking
+	// below, and its read loop joins the stringalloc hot-path set.
 	"dnsblplane": ClassEngine,
 
 	// Admission control: overload is listed explicitly rather than
 	// left to the default — its shed decisions must replay bit-for-bit
 	// from (seed, clock), so it keeps the engine clock/RNG contract
-	// even though every caller is an edge package. Like distsweep it
-	// also opts into ctxblocking below: its queues park callers.
+	// even though every caller is an edge package. It is also on the
+	// ctxblocking list below, though it has no blocking API: every
+	// decision is an immediate admit or shed.
 	"overload": ClassEngine,
 
 	// Network boundary: sockets, deadlines, drains.
@@ -88,16 +83,18 @@ var classTable = map[string]Class{
 	"webhost":   ClassEdge,
 }
 
-// ctxContractPackages are the edge packages whose exported blocking
-// APIs must offer a context.Context variant (the convention the
-// lifecycle PR established: Listed/ListedContext, Tail/TailDurable).
+// ctxContractPackages are the packages whose exported blocking APIs
+// must offer a context.Context variant (the convention the edge
+// packages established: Listed/ListedContext, Tail/TailDurable). sweep
+// is an engine package on the list because RunLocal blocks for the
+// whole sweep and takes the context that interrupts it.
 var ctxContractPackages = map[string]bool{
-	"distsweep":  true,
 	"dnsbl":      true,
 	"dnsblplane": true,
 	"feedsync":   true,
 	"overload":   true,
 	"smtpd":      true,
+	"sweep":      true,
 }
 
 // nilGuardPackages are the packages whose exported pointer-receiver

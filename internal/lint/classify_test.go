@@ -19,10 +19,6 @@ func TestClassify(t *testing.T) {
 		{"tasterschoice/internal/smtpd", ClassEdge},
 		{"tasterschoice/internal/lifecycle", ClassEdge},
 
-		// distsweep is engine-strict despite speaking a wire protocol:
-		// its whole contract is deterministic, byte-identical output.
-		{"tasterschoice/internal/distsweep", ClassEngine},
-
 		// overload is engine-strict despite serving edge callers: its
 		// shed decisions must replay bit-for-bit from (seed, clock).
 		{"tasterschoice/internal/overload", ClassEngine},
@@ -71,11 +67,11 @@ func TestNeedsCtxContract(t *testing.T) {
 		path string
 		want bool
 	}{
-		{"tasterschoice/internal/distsweep", true},
 		{"tasterschoice/internal/dnsbl", true},
 		{"tasterschoice/internal/dnsblplane", true},
 		{"tasterschoice/internal/feedsync", true},
 		{"tasterschoice/internal/smtpd", true},
+		{"tasterschoice/internal/sweep", true}, // an engine package under the ctx contract
 		{"tasterschoice/internal/overload", true},
 		{"tasterschoice/internal/overload_test", true},
 		{"tasterschoice/internal/smtpd/wire", true}, // subpackages inherit

@@ -8,17 +8,17 @@ import (
 )
 
 // CtxBlocking enforces the Context-variant convention on the network
-// edge (feedsync, dnsbl, smtpd, distsweep): an exported API that
-// blocks — dials,
-// accepts, or parks on a channel — must either take a context.Context
-// itself or have a sibling that does (Listed/ListedContext,
-// Close/Shutdown), so callers can always bound the wait. Only the
-// function's own body is inspected (blocking inside a spawned
-// goroutine does not block the caller), and select statements are
-// treated as cancellable by construction.
+// edge (feedsync, dnsbl, smtpd, dnsblplane) and on sweep, whose
+// RunLocal blocks for a whole sweep: an exported API that blocks —
+// dials, accepts, or parks on a channel — must either take a
+// context.Context itself or have a sibling that does
+// (Listed/ListedContext, Close/Shutdown), so callers can always bound
+// the wait. Only the function's own body is inspected (blocking inside
+// a spawned goroutine does not block the caller), and select
+// statements are treated as cancellable by construction.
 var CtxBlocking = &Analyzer{
 	Name: "ctxblocking",
-	Doc: "exported blocking APIs in feedsync/dnsbl/smtpd/distsweep must take a context.Context " +
+	Doc: "exported blocking APIs in feedsync/dnsbl/smtpd/dnsblplane/sweep must take a context.Context " +
 		"or offer a <Name>Context (for Close: Shutdown) variant",
 	Run: runCtxBlocking,
 }

@@ -210,8 +210,8 @@ func leafInspect(pass *Pass, n ast.Node, allows AllowSet, f *FuncFacts) {
 				f.Set |= FactGlobalRand
 			}
 		case modulePrefix + "internal/lifecycle":
-			// Any lifecycle use (Group.Go, Run, Stack) counts as
-			// structured registration.
+			// Any lifecycle use (Run, Stack) counts as structured
+			// registration.
 			f.Set |= FactTracked
 		}
 	case *ast.SendStmt:

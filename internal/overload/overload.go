@@ -11,8 +11,9 @@
 // unbounded work degrades for everyone at once, while one that sheds
 // the excess cheaply keeps latency bounded for the traffic it accepts.
 // This package centralizes the shed policy so dnsblplane, smtpd,
-// feedsync, webhost and the distsweep coordinator all degrade the same
-// way.
+// feedsync and webhost all degrade the same way. It holds no queue:
+// every decision is an immediate admit or shed, so nothing here
+// blocks its caller.
 //
 // Determinism: nothing here consumes ambient randomness or hidden
 // clocks. Every decision is a pure function of the injected Clock and

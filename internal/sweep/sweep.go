@@ -1,19 +1,14 @@
-// Package distsweep scales the seed sweep beyond one process: a
-// coordinator farms sweep seeds to worker processes over a
-// feedsync-style line protocol, with checkpoint-backed exactly-once
-// seed accounting, lease/epoch fencing, straggler re-dispatch and
-// duplicate-result reconciliation. The robustness contract is the
-// same one cmd/sweep's resumable checkpoint established: whatever
-// crashes — a worker mid-seed, the coordinator mid-sweep, a
-// partitioned straggler — the final metrics table is byte-identical
-// to an uninterrupted single-process run, and no seed is ever
-// counted twice.
+// Package sweep runs the scenario across many seeds and reports the
+// mean and spread of each headline metric, so "the shape holds" is a
+// measured claim rather than one lucky seed. cmd/sweep fronts it.
 //
-// The package also owns the single-process sweep core (RunLocal, the
-// metric extraction and the table renderer) that cmd/sweep fronts, so
-// the distributed and local paths share one formatter by construction
-// and "byte-identical" is a property tests can assert end to end.
-package distsweep
+// RunLocal runs the seeds in one process on a bounded worker pool.
+// With a checkpoint path, each finished seed's metrics persist through
+// the crash-safe checkpoint store and a restarted sweep runs only the
+// missing seeds; the table it prints is byte-identical to an
+// uninterrupted run. A transiently failed seed is retried before it
+// counts as failed.
+package sweep
 
 import (
 	"context"
@@ -30,6 +25,7 @@ import (
 	"tasterschoice/internal/core"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/obs"
+	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/report"
 	"tasterschoice/internal/resilient"
 	"tasterschoice/internal/simulate"
@@ -48,29 +44,27 @@ var metricNames = []string{
 	"mx1 median onset (h)",
 }
 
-// stateVersion is the sweep checkpoint payload version (local runs).
+// stateVersion is the sweep checkpoint payload version.
 const stateVersion = 1
 
-// Config parameterises one sweep, local or distributed.
+// Config parameterises one sweep.
 type Config struct {
 	// Seeds is the number of seeds to run.
 	Seeds int
 	// Small selects the reduced scenario.
 	Small bool
-	// Workers bounds concurrent scenario runs in RunLocal (a
-	// distributed sweep's parallelism is its worker-process count).
+	// Workers bounds concurrent scenario runs; <= 0 runs one seed at
+	// a time.
 	Workers int
 	// CheckpointPath, when set, makes the run resumable: finished
 	// seeds persist through the crash-safe checkpoint store and a
 	// restart re-runs only the missing ones.
 	CheckpointPath string
 	// RetryFailed re-runs a transiently failed seed up to this many
-	// extra times (via resilient.Retrier) before it is reported in the
+	// extra times (via resilient.Retrier, with its default backoff:
+	// 50ms base, doubling, 5s cap) before it is reported in the
 	// failed-seeds count. 0 disables retries.
 	RetryFailed int
-	// RetryBackoff spaces the retry attempts (zero value → resilient
-	// defaults: 50ms base, doubling, 5s cap).
-	RetryBackoff resilient.Backoff
 	// Sleep paces retries (default time.Sleep via resilient.Retrier);
 	// tests substitute a recorder.
 	Sleep func(time.Duration)
@@ -89,7 +83,7 @@ func (c Config) errw() io.Writer {
 	return io.Discard
 }
 
-// sweepState is the checkpointed progress of a local run: the
+// sweepState is the checkpointed progress of a sweep: the
 // parameters (so a resume against different flags starts fresh) and
 // each finished seed's metrics, keyed by seed index.
 type sweepState struct {
@@ -120,28 +114,6 @@ func ScenarioRunner(small bool, m mailflow.Metrics, tr *obs.Tracer) SeedRunner {
 	}
 }
 
-// RetryingRunner wraps run so transient failures are retried up to
-// extra additional attempts with backoff pauses between them. With
-// extra <= 0 the runner is returned unchanged.
-func RetryingRunner(run SeedRunner, extra int, backoff resilient.Backoff, sleep func(time.Duration)) SeedRunner {
-	if extra <= 0 {
-		return run
-	}
-	return func(i int, seed uint64) (map[string]float64, error) {
-		var m map[string]float64
-		r := resilient.Retrier{Attempts: extra + 1, Backoff: backoff, Sleep: sleep}
-		err := r.Do(func(int) error {
-			var rerr error
-			m, rerr = run(i, seed)
-			return rerr
-		})
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-}
-
 // SeedFor maps a seed index to its scenario seed.
 func SeedFor(i int) uint64 { return uint64(1000 + i*7919) }
 
@@ -151,7 +123,6 @@ func SeedFor(i int) uint64 { return uint64(1000 + i*7919) }
 // failed (after retries); a non-nil error means the sweep itself was
 // interrupted (finished seeds are checkpointed).
 func RunLocal(ctx context.Context, cfg Config, run SeedRunner, out io.Writer) (int, error) {
-	run = RetryingRunner(run, cfg.RetryFailed, cfg.RetryBackoff, cfg.Sleep)
 	errw := cfg.errw()
 	state := sweepState{Seeds: cfg.Seeds, Small: cfg.Small, Results: map[string]map[string]float64{}}
 	var store *checkpoint.Store
@@ -175,53 +146,41 @@ func RunLocal(ctx context.Context, cfg Config, run SeedRunner, out io.Writer) (i
 		}
 	}
 
-	var mu sync.Mutex // guards state and failed
-	failed := 0
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
+	var todo []int
 	for i := 0; i < cfg.Seeds; i++ {
-		key := strconv.Itoa(i)
-		mu.Lock()
-		_, done := state.Results[key]
-		mu.Unlock()
-		if done {
-			continue
+		if _, done := state.Results[strconv.Itoa(i)]; !done {
+			todo = append(todo, i)
 		}
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int, key string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			seed := SeedFor(i)
-			m, err := run(i, seed)
-			if err != nil {
-				fmt.Fprintf(errw, "sweep: seed %d: %v\n", seed, err)
-				mu.Lock()
-				failed++
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			state.Results[key] = m
-			if store != nil {
-				if serr := store.SaveJSON(stateVersion, state); serr != nil {
-					fmt.Fprintf(errw, "sweep: checkpoint: %v\n", serr)
-				}
-			}
-			mu.Unlock()
-		}(i, key)
 	}
-	wg.Wait()
+	retrier := resilient.Retrier{Attempts: max(cfg.RetryFailed, 0) + 1, Sleep: cfg.Sleep}
+	var mu sync.Mutex // guards state, failed and errw
+	failed := 0
+	parallel.ForEach(max(cfg.Workers, 1), len(todo), func(k int) {
+		if ctx.Err() != nil {
+			return
+		}
+		i := todo[k]
+		seed := SeedFor(i)
+		var m map[string]float64
+		err := retrier.Do(func(int) error {
+			var rerr error
+			m, rerr = run(i, seed)
+			return rerr
+		})
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			fmt.Fprintf(errw, "sweep: seed %d: %v\n", seed, err)
+			failed++
+			return
+		}
+		state.Results[strconv.Itoa(i)] = m
+		if store != nil {
+			if serr := store.SaveJSON(stateVersion, state); serr != nil {
+				fmt.Fprintf(errw, "sweep: checkpoint: %v\n", serr)
+			}
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return failed, err
 	}
@@ -229,15 +188,11 @@ func RunLocal(ctx context.Context, cfg Config, run SeedRunner, out io.Writer) (i
 	// Seeds that were attempted but produced nothing (and were not
 	// counted above because the run predates this process) stay absent
 	// from Results; only this process's failures are counted.
-	mu.Lock()
-	defer mu.Unlock()
 	writeReport(out, cfg.Seeds, state.Results)
 	return failed, nil
 }
 
-// writeReport renders the final metrics table. It is the single
-// formatter for local and distributed sweeps: byte-identity between
-// the two is a property of the results, never of the renderer.
+// writeReport renders the final metrics table.
 func writeReport(out io.Writer, seeds int, results map[string]map[string]float64) {
 	fmt.Fprintf(out, "headline metrics across %d seeds:\n\n", seeds)
 	fmt.Fprintln(out, report.Table([]string{"Metric", "Mean", "StdDev", "Min", "Max", "N"}, tableRows(seeds, results)))

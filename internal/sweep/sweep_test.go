@@ -1,4 +1,4 @@
-package distsweep
+package sweep
 
 import (
 	"bytes"
@@ -9,16 +9,17 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"tasterschoice/internal/mailflow"
 )
 
-// update rewrites the golden table; shared with chaos_test.go.
+// update rewrites the golden table:
 //
-//	go test ./internal/distsweep/ -run TestChaosDistSweepGolden -update
+//	go test ./internal/sweep/ -run TestSweepGolden -update
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // fakeRunner produces deterministic metrics per seed index and counts
-// invocations, so tests can prove which seeds actually ran — and that
-// two workers computing the same seed produce the same bytes.
+// invocations, so tests can prove which seeds actually ran.
 type fakeRunner struct {
 	mu    sync.Mutex
 	calls map[int]int
@@ -69,14 +70,8 @@ func (f *fakeRunner) total() int {
 	return total
 }
 
-func (f *fakeRunner) count(i int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls[i]
-}
-
-// localTable runs an uninterrupted single-process sweep and returns
-// its table bytes — the reference every distributed run must match.
+// localTable runs an uninterrupted sweep and returns its table bytes —
+// the reference a resumed run must match.
 func localTable(t *testing.T, seeds int) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -191,13 +186,17 @@ func TestSweepCountsFailedSeeds(t *testing.T) {
 }
 
 // TestSweepTableStable pins the fake-metrics table so accidental
-// format drift in tableRows is visible.
+// format drift in tableRows is visible, and shows that the table does
+// not depend on the worker count.
 func TestSweepTableStable(t *testing.T) {
 	var a, b bytes.Buffer
-	for _, out := range []*bytes.Buffer{&a, &b} {
+	for _, run := range []struct {
+		workers int
+		out     *bytes.Buffer
+	}{{1, &a}, {3, &b}} {
 		if _, err := RunLocal(context.Background(),
-			Config{Seeds: 3, Small: true, Workers: 3},
-			newFakeRunner().run, out); err != nil {
+			Config{Seeds: 3, Small: true, Workers: run.workers},
+			newFakeRunner().run, run.out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,6 +206,22 @@ func TestSweepTableStable(t *testing.T) {
 	if !bytes.Contains(a.Bytes(), []byte("Hu tagged coverage %")) {
 		t.Fatalf("table missing metrics:\n%s", a.String())
 	}
+}
+
+// TestSweepGolden runs the real scenario (reduced scale) over four
+// seeds and compares the table with the committed golden. If the
+// scenario, the metric extraction or the renderer drifts, the
+// fingerprint breaks.
+func TestSweepGolden(t *testing.T) {
+	const seeds = 4
+	var out bytes.Buffer
+	failed, err := RunLocal(context.Background(),
+		Config{Seeds: seeds, Small: true, Workers: seeds},
+		ScenarioRunner(true, mailflow.Metrics{}, nil), &out)
+	if err != nil || failed != 0 {
+		t.Fatalf("sweep: failed=%d err=%v", failed, err)
+	}
+	checkGolden(t, "sweep_table", out.Bytes())
 }
 
 // checkGolden compares got against testdata/<name>.golden, rewriting
