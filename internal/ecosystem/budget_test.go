@@ -22,3 +22,15 @@ func TestGenerateAllocBudget(t *testing.T) {
 		t.Fatalf("Generate made %.0f allocations, budget %d", allocs, generateBudget)
 	}
 }
+
+// TestCampaignsAllocatedOnce checks that campaignCapacity covers every
+// campaign a default Generate draws, so genCampaigns allocates
+// w.Campaigns once and never regrows it.
+func TestCampaignsAllocatedOnce(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 2010} {
+		w := MustGenerate(DefaultConfig(seed))
+		if n, c := len(w.Campaigns), w.campaignCapacity(); n > c || cap(w.Campaigns) != c {
+			t.Errorf("seed %d: %d campaigns in a slice of capacity %d, estimate %d", seed, n, cap(w.Campaigns), c)
+		}
+	}
+}

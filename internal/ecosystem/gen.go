@@ -343,9 +343,43 @@ func (w *World) campaignCategory(c *Campaign) Category {
 	return w.Programs[c.Program].Category
 }
 
+// megaCampaigns is how many mega campaigns genCampaigns draws: the
+// scaled count, but at least one when any are configured.
+func (c *Config) megaCampaigns() int {
+	n := c.scaled(c.MegaCampaigns, 0)
+	if c.MegaCampaigns > 0 && n == 0 {
+		n = 1
+	}
+	return n
+}
+
+// campaignCapacity sizes w.Campaigns so genCampaigns never regrows
+// it. The mega, other-goods and web-only counts are exact. The loud,
+// quiet and tiny counts are sums of Poisson and Bernoulli draws, whose
+// variance is at most their mean, so they are taken at their mean
+// plus four standard deviations.
+func (w *World) campaignCapacity() int {
+	cfg := &w.Config
+	var mean float64
+	for i := range w.Botnets {
+		mean += float64(len(w.Botnets[i].Affiliates)) * cfg.LoudCampaignsPerSlot * cfg.Scale
+	}
+	for i := range w.Affiliates {
+		switch w.Affiliates[i].Tier {
+		case TierQuiet:
+			mean += cfg.QuietExtraMean*cfg.Scale + cfg.QuietCampaignProb*math.Min(cfg.Scale, 1)
+		case TierTiny:
+			mean += cfg.TinyCampaignProb * math.Min(cfg.Scale, 1)
+		}
+	}
+	exact := cfg.megaCampaigns() + cfg.scaled(cfg.OtherGoodsCampaigns, 1) + cfg.scaled(cfg.WebOnlyDomains, 1)
+	return exact + int(mean+4*math.Sqrt(mean))
+}
+
 func (w *World) genCampaigns(rng *randutil.RNG, names *nameGen) {
 	cfg := &w.Config
 	win := cfg.Window
+	w.Campaigns = make([]Campaign, 0, w.campaignCapacity())
 
 	newCampaign := func(affiliate, program int, class CampaignClass, botnet int,
 		start, end time.Time, volume float64) *Campaign {
@@ -383,11 +417,7 @@ func (w *World) genCampaigns(rng *randutil.RNG, names *nameGen) {
 
 	// --- Mega campaigns: months-long continuous blasts. --------------
 	megaRng := rng.SplitNamed("mega")
-	nMega := cfg.scaled(cfg.MegaCampaigns, 0)
-	if cfg.MegaCampaigns > 0 && nMega == 0 {
-		nMega = 1
-	}
-	for i := 0; i < nMega; i++ {
+	for i := range cfg.megaCampaigns() {
 		// The first mega runs on a monitored (non-poisoner) botnet so
 		// the Bot feed covers a slice of the dominant volume; the
 		// rest run on unmonitored botnets.

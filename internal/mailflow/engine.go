@@ -74,9 +74,12 @@ func (r *Result) BaseOrder() []string {
 }
 
 // planChunkSize is how many campaigns are planned in parallel before
-// their buffered output is merged and the webmail chains drained. It
-// bounds peak buffered-event memory without affecting results: chunk
-// boundaries only group work, never reorder it.
+// their buffered output is merged and the webmail chains drained.
+// Chunk boundaries only group work, never reorder it. The bound on
+// buffered memory is loose: campaigns are generated class by class,
+// so the first chunk holds the mega-campaigns and, at default scale,
+// two thirds of all observations, and the arena blocks it takes serve
+// every later chunk.
 const planChunkSize = 1024
 
 // Engine runs collection over a generated world.
@@ -125,10 +128,8 @@ type Engine struct {
 	chaffRng  *randutil.RNG
 	chaffZipf *randutil.Zipf
 
-	// planBufs is the pool of reusable campaign plans (one per chunk
-	// slot); timesBuf is scratch for the phases on the Run goroutine
-	// (the mint goroutine has its own).
-	planBufs []*campaignPlan
+	// timesBuf is scratch for the phases on the Run goroutine (the
+	// mint goroutine and the planning arenas have their own).
 	timesBuf []int64
 }
 
@@ -247,50 +248,29 @@ func (e *Engine) phase(name string, fn func()) {
 // campaign order, queue its webmail batches, drain the chains.
 func (e *Engine) observeCampaigns(workers int) {
 	camps := e.World.Campaigns
-	nbufs := planChunkSize
-	if len(camps) < nbufs {
-		nbufs = len(camps)
-	}
-	if len(e.planBufs) < nbufs {
-		e.planBufs = make([]*campaignPlan, nbufs)
-		for i := range e.planBufs {
-			e.planBufs[i] = new(campaignPlan)
-		}
-	}
-	for lo := 0; lo < len(camps); lo += planChunkSize {
-		hi := lo + planChunkSize
-		if hi > len(camps) {
-			hi = len(camps)
-		}
-		plans := e.planBufs[:hi-lo]
-		parallel.ForEach(workers, hi-lo, func(i int) {
-			plans[i].reset()
-			e.planCampaign(plans[i], &camps[lo+i])
-		})
-		e.Metrics.CampaignsPlanned.Add(int64(hi - lo))
-		var batches int64
-		for _, p := range plans {
-			e.Metrics.Observations.Add(int64(len(p.obs)))
-			for j := range p.obs {
-				o := &p.obs[j]
-				f := e.feedArr[o.feed]
-				if o.once {
-					f.ObserveOnceID(o.t, o.d)
-				} else {
-					f.ObserveID(o.t, o.d, o.url)
-				}
+	planChunks(workers, len(camps), func(a *planArena, i int) {
+		e.planCampaign(a, &camps[i])
+	}, func(plans []campaignPlan) {
+		var nobs, batches int64
+		for i := range plans {
+			p := &plans[i]
+			e.replay(p.runs)
+			for _, r := range p.runs {
+				nobs += int64(len(r.obs))
 			}
 			batches += int64(len(p.batches))
 			for _, b := range p.batches {
 				e.wm.enqueue(b)
 			}
 		}
+		e.Metrics.CampaignsPlanned.Add(int64(len(plans)))
+		e.Metrics.Observations.Add(nobs)
 		e.Metrics.WebmailBatches.Add(batches)
 		e.Metrics.DrainDepth.Observe(float64(batches))
 		// flush drains every queued batch before the next chunk reuses
-		// the plan buffers the batch time-slices point into.
+		// the arena blocks the batch times point into.
 		e.wm.flush(workers)
-	}
+	})
 }
 
 // initExposures draws the per-(honeypot, botnet) list-presence
@@ -334,35 +314,35 @@ func uniformTimesNanos(rng *randutil.RNG, w simclock.Window, n int, buf []int64)
 	return buf
 }
 
-// uniformTimesSortedInto appends n times uniform over w in ascending
-// order to p's time arena, in O(n) without sorting: with E_1..E_{n+1}
-// i.i.d. Exp(1) and S_i their prefix sums, (S_1/S_{n+1}, ...,
-// S_n/S_{n+1}) has exactly the distribution of n sorted uniforms. This
-// replaces the reflection-based sort.Slice that used to dominate the
-// webmail path; the arena and prefix-sum scratch are reused across the
-// plan's lifetime.
-func uniformTimesSortedInto(p *campaignPlan, rng *randutil.RNG, w simclock.Window, n int) []int64 {
+// uniformTimesSortedInto returns n times uniform over w in ascending
+// order, carved from a's times blocks, in O(n) without sorting: with
+// E_1..E_{n+1} i.i.d. Exp(1) and S_i their prefix sums, (S_1/S_{n+1},
+// ..., S_n/S_{n+1}) has exactly the distribution of n sorted uniforms.
+// This replaces the reflection-based sort.Slice that used to dominate
+// the webmail path; the prefix-sum scratch is reused across the
+// arena's lifetime.
+func uniformTimesSortedInto(a *planArena, rng *randutil.RNG, w simclock.Window, n int) []int64 {
 	if n <= 0 {
 		return nil
 	}
-	if cap(p.cum) < n {
-		p.cum = make([]float64, n)
+	if cap(a.cum) < n {
+		a.cum = make([]float64, n)
 	} else {
-		p.cum = p.cum[:n]
+		a.cum = a.cum[:n]
 	}
 	acc := 0.0
-	for i := range p.cum {
+	for i := range a.cum {
 		acc += rng.ExpFloat64()
-		p.cum[i] = acc
+		a.cum[i] = acc
 	}
 	acc += rng.ExpFloat64()
 	span := float64(w.Duration())
 	startN := w.Start.UnixNano()
-	start := len(p.times)
-	for _, c := range p.cum {
-		p.times = append(p.times, startN+int64(c/acc*span))
+	times := a.times(n)
+	for i, c := range a.cum {
+		times[i] = startN + int64(c/acc*span)
 	}
-	return p.times[start:]
+	return times
 }
 
 // slotWindow clips an ad slot to the measurement window, returning the
@@ -473,23 +453,10 @@ func (e *Engine) typoTraffic(rng *randutil.RNG) {
 // where the three phases observed directly before, so every feed sees
 // the same observation order and the table the same intern order.
 type minted struct {
-	honeypot, poison, hu []mintRun
+	honeypot, poison, hu []obsRun
 	// nameBuf and times are the goroutine's own scratch.
 	nameBuf []byte
 	times   []int64
-}
-
-// mintRun is one feed's minted observations, in draw order.
-type mintRun struct {
-	feed uint8
-	obs  []mintedObs
-}
-
-// mintedObs is one buffered observation: packed time, interned domain
-// and URL.
-type mintedObs struct {
-	t      int64
-	d, url symtab.ID
 }
 
 // mint fills m. It reads only e.Cfg, e.window, e.World and e.syms, and
@@ -514,10 +481,17 @@ func (e *Engine) mintSymbols() int {
 	return int(2*(hpjunk+poison) + c.HuJunkReports)
 }
 
-// replay observes minted runs in order.
-func (e *Engine) replay(runs []mintRun) {
+// replay observes buffered runs in order. The blacklists' runs are
+// listings, of which ObserveOnceID keeps the earliest per domain.
+func (e *Engine) replay(runs []obsRun) {
 	for _, r := range runs {
 		f := e.feedArr[r.feed]
+		if r.feed == fDbl || r.feed == fUribl {
+			for _, o := range r.obs {
+				f.ObserveOnceID(o.t, o.d)
+			}
+			continue
+		}
 		for _, o := range r.obs {
 			f.ObserveID(o.t, o.d, o.url)
 		}
@@ -534,7 +508,7 @@ func (e *Engine) honeypotJunk(m *minted, rng *randutil.RNG) {
 	for _, fi := range junkFeeds {
 		n := rng.Poisson(e.Cfg.HoneypotJunkPerDay * days)
 		m.times = uniformTimesNanos(rng, e.window, n, m.times[:0])
-		run := mintRun{feed: fi, obs: make([]mintedObs, 0, n)}
+		run := obsRun{feed: fi, obs: make([]feedObs, 0, n)}
 		for _, t := range m.times {
 			// Mostly garbage hostnames; occasionally a real but
 			// obscure registered domain (mis-scraped signatures,
@@ -549,7 +523,7 @@ func (e *Engine) honeypotJunk(m *minted, rng *randutil.RNG) {
 				m.nameBuf = append(m.nameBuf, ".com"...)
 				d = e.syms.InternBytes(m.nameBuf)
 			}
-			run.obs = append(run.obs, mintedObs{t, d, e.syms.AutoURL(d)})
+			run.obs = append(run.obs, feedObs{t, d, e.syms.AutoURL(d)})
 		}
 		m.honeypot = append(m.honeypot, run)
 	}
@@ -569,10 +543,10 @@ func (e *Engine) poison(m *minted, rng *randutil.RNG) {
 			e.Cfg.PoisonLiveHitProb, e.syms, e.World.ObscureSyms)
 		tRng := rng.SplitNamed(stream + "-times")
 		m.times = uniformTimesNanos(tRng, pw, arrivals, m.times[:0])
-		run := mintRun{feed: feed, obs: make([]mintedObs, 0, arrivals)}
+		run := obsRun{feed: feed, obs: make([]feedObs, 0, arrivals)}
 		for _, t := range m.times {
 			d := src.NextID()
-			run.obs = append(run.obs, mintedObs{t, d, e.syms.AutoURL(d)})
+			run.obs = append(run.obs, feedObs{t, d, e.syms.AutoURL(d)})
 		}
 		m.poison = append(m.poison, run)
 	}
@@ -584,12 +558,12 @@ func (e *Engine) poison(m *minted, rng *randutil.RNG) {
 func (e *Engine) huJunk(m *minted, rng *randutil.RNG) {
 	n := rng.Poisson(e.Cfg.HuJunkReports)
 	m.times = uniformTimesNanos(rng, e.window, n, m.times[:0])
-	run := mintRun{feed: fHu, obs: make([]mintedObs, 0, n)}
+	run := obsRun{feed: fHu, obs: make([]feedObs, 0, n)}
 	for _, t := range m.times {
 		ln := 5 + rng.Intn(9)
 		m.nameBuf = rng.AppendAlphaNum(m.nameBuf[:0], ln)
 		m.nameBuf = append(m.nameBuf, ".com"...)
-		run.obs = append(run.obs, mintedObs{t: t, d: e.syms.InternBytes(m.nameBuf)})
+		run.obs = append(run.obs, feedObs{t: t, d: e.syms.InternBytes(m.nameBuf)})
 	}
 	m.hu = append(m.hu, run)
 }
