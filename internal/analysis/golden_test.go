@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // The analysis determinism contract: every parallel table computation
@@ -96,6 +97,47 @@ func TestGoldenTimingRepeatable(t *testing.T) {
 		}
 		if got := Duration(ds, HoneypotFeeds); !reflect.DeepEqual(got, wantDur) {
 			t.Fatal("duration rows differ across worker counts")
+		}
+	})
+}
+
+func TestGoldenSelectionMatchesSerial(t *testing.T) {
+	ds := testDataset(t)
+	for _, class := range []DomainClass{ClassAll, ClassLive, ClassTagged} {
+		want := GreedySelectionSerial(ds, class)
+		atProcs(t, func(t *testing.T) {
+			if got := GreedySelection(ds, class); !reflect.DeepEqual(got, want) {
+				t.Fatalf("class %s: greedy selection diverged\n got: %+v\nwant: %+v", class, got, want)
+			}
+		})
+	}
+}
+
+func TestGoldenReconstructionMatchesSerial(t *testing.T) {
+	ds := testDataset(t)
+	for _, slack := range []time.Duration{12 * time.Hour, 10000 * time.Hour} {
+		want := make([]Reconstruction, 0, len(ds.Result.Order))
+		for _, name := range ds.Result.Order {
+			want = append(want, ReconstructCampaignsSerial(ds, name, slack))
+		}
+		atProcs(t, func(t *testing.T) {
+			if got := ReconstructAll(ds, slack); !reflect.DeepEqual(got, want) {
+				t.Fatalf("slack %v: reconstruction diverged\n got: %+v\nwant: %+v", slack, got, want)
+			}
+		})
+	}
+}
+
+func TestGoldenProportionMatchesSerial(t *testing.T) {
+	ds := testDataset(t)
+	wantVD := VariationDistancesSerial(ds)
+	wantKT := KendallTausSerial(ds)
+	atProcs(t, func(t *testing.T) {
+		if got := VariationDistances(ds); !reflect.DeepEqual(got, wantVD) {
+			t.Fatalf("variation distances diverged\n got: %+v\nwant: %+v", got, wantVD)
+		}
+		if got := KendallTaus(ds); !reflect.DeepEqual(got, wantKT) {
+			t.Fatalf("Kendall taus diverged\n got: %+v\nwant: %+v", got, wantKT)
 		}
 	})
 }

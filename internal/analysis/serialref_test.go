@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"sort"
+	"time"
+
 	"tasterschoice/internal/domain"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/stats"
@@ -163,4 +166,178 @@ func purityRow(ds *Dataset, name string) PurityRow {
 		ODP:     stats.Fraction(odp, total),
 		Alexa:   stats.Fraction(alexa, total),
 	}
+}
+
+// GreedySelectionSerial computes the greedy acquisition order exactly
+// as GreedySelection, over plain string sets: each round rescans every
+// remaining feed's set against the covered set.
+func GreedySelectionSerial(ds *Dataset, class DomainClass) []SelectionStep {
+	order := ds.Result.Order
+	sets := make(map[string]map[string]bool, len(order))
+	union := make(map[string]bool)
+	for _, name := range order {
+		s := feedDomainsSerial(ds, name, class)
+		sets[name] = s
+		for d := range s {
+			union[d] = true
+		}
+	}
+	covered := make(map[string]bool)
+	remaining := append([]string(nil), order...)
+	steps := make([]SelectionStep, 0, len(order))
+	for len(remaining) > 0 {
+		bestIdx, bestGain := 0, -1
+		for i, name := range remaining {
+			gain := 0
+			for d := range sets[name] {
+				if !covered[d] {
+					gain++
+				}
+			}
+			if gain > bestGain {
+				bestIdx, bestGain = i, gain
+			}
+		}
+		name := remaining[bestIdx]
+		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+		for d := range sets[name] {
+			covered[d] = true
+		}
+		frac := 0.0
+		if len(union) > 0 {
+			frac = float64(len(covered)) / float64(len(union))
+		}
+		steps = append(steps, SelectionStep{
+			Feed:           name,
+			Marginal:       bestGain,
+			Cumulative:     len(covered),
+			CumulativeFrac: frac,
+		})
+	}
+	return steps
+}
+
+// ReconstructCampaignsSerial computes one feed's Reconstruction exactly
+// as ReconstructCampaigns, scoring the clustering by visiting every
+// domain pair.
+func ReconstructCampaignsSerial(ds *Dataset, feedName string, slack time.Duration) Reconstruction {
+	type item struct {
+		d           string
+		program     int
+		campaign    int
+		first, last time.Time
+		cluster     int
+	}
+	feed := ds.Feed(feedName)
+	var items []item
+	feed.Each(func(d domain.Name, s feeds.DomainStat) {
+		l := labelOf(ds, d)
+		if !ClassTagged.member(l) {
+			return
+		}
+		info, ok := ds.World.Info(d)
+		if !ok || info.Campaign < 0 {
+			return
+		}
+		items = append(items, item{
+			d: string(d), program: l.Program, campaign: info.Campaign,
+			first: s.First.Add(-slack), last: s.Last.Add(slack),
+		})
+	})
+	rec := Reconstruction{Feed: feedName, Domains: len(items)}
+	if len(items) == 0 {
+		return rec
+	}
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].program != items[j].program {
+			return items[i].program < items[j].program
+		}
+		if !items[i].first.Equal(items[j].first) {
+			return items[i].first.Before(items[j].first)
+		}
+		return items[i].d < items[j].d
+	})
+	cluster := -1
+	var curProgram int
+	var curEnd time.Time
+	for i := range items {
+		it := &items[i]
+		if cluster < 0 || it.program != curProgram || it.first.After(curEnd) {
+			cluster++
+			curProgram = it.program
+			curEnd = it.last
+		} else if it.last.After(curEnd) {
+			curEnd = it.last
+		}
+		it.cluster = cluster
+	}
+	rec.Clusters = cluster + 1
+	trueSeen := map[int]bool{}
+	for _, it := range items {
+		trueSeen[it.campaign] = true
+	}
+	rec.TrueCampaigns = len(trueSeen)
+	var sameBoth, sameCluster, sameTruth int
+	for i := 0; i < len(items); i++ {
+		for j := i + 1; j < len(items); j++ {
+			sc := items[i].cluster == items[j].cluster
+			st := items[i].campaign == items[j].campaign
+			if sc {
+				sameCluster++
+			}
+			if st {
+				sameTruth++
+			}
+			if sc && st {
+				sameBoth++
+			}
+		}
+	}
+	rec.PairPrecision = stats.Fraction(sameBoth, sameCluster)
+	rec.PairRecall = stats.Fraction(sameBoth, sameTruth)
+	return rec
+}
+
+// proportionInputsSerial is proportionInputs without the per-input
+// worker fan-out.
+func proportionInputsSerial(ds *Dataset) ([]string, []stats.Dist) {
+	names := append([]string{MailColumn}, VolumeFeeds(ds)...)
+	dists := []stats.Dist{mailTaggedDist(ds)}
+	for _, name := range names[1:] {
+		dists = append(dists, feedTaggedDist(ds, name))
+	}
+	return names, dists
+}
+
+// pairwiseSerial fills the full n×n matrix of metric over the
+// proportionality inputs, every ordered pair computed on its own.
+func pairwiseSerial(ds *Dataset, metric func(p, q stats.Dist) (float64, bool)) *PairwiseDist {
+	names, dists := proportionInputsSerial(ds)
+	n := len(names)
+	out := &PairwiseDist{Names: names, Value: make([][]float64, n), OK: make([][]bool, n)}
+	for i := 0; i < n; i++ {
+		out.Value[i] = make([]float64, n)
+		out.OK[i] = make([]bool, n)
+		for j := 0; j < n; j++ {
+			out.Value[i][j], out.OK[i][j] = metric(dists[i], dists[j])
+		}
+	}
+	return out
+}
+
+// VariationDistancesSerial computes Figure 7 exactly as
+// VariationDistances, over all n×n ordered pairs.
+func VariationDistancesSerial(ds *Dataset) *PairwiseDist {
+	return pairwiseSerial(ds, func(p, q stats.Dist) (float64, bool) {
+		return stats.VariationDistance(p, q), true
+	})
+}
+
+// KendallTausSerial computes Figure 8 exactly as KendallTaus, over all
+// n×n ordered pairs.
+func KendallTausSerial(ds *Dataset) *PairwiseDist {
+	return pairwiseSerial(ds, func(p, q stats.Dist) (float64, bool) {
+		tau, _, ok := stats.KendallTauB(p, q)
+		return tau, ok
+	})
 }

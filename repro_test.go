@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,22 +129,37 @@ func TestReproductionGate(t *testing.T) {
 // (paper-scale) scenario with seed 2010, the run the README documents.
 const defaultReport2010 = "7b165e4bc003f82072897548b7ed0a8c70c160aef9a95cd501cf3b883596e082"
 
+// defaultReports pins the full default-scale report's SHA-256 for
+// three seeds.
+var defaultReports = []struct {
+	seed   uint64
+	digest string
+}{
+	{1, "136191e27096389f582eea0edd798b8ff49d3fffd6fef0776f13d108af8966a6"},
+	{2, "31e1d4ec620b3ef1f34c976120779b9df23d23c620f597ec6f609ca1732b523b"},
+	{2010, defaultReport2010},
+}
+
 // TestDefaultReportDigest pins the paper-scale report byte for byte:
 // a change to generation, collection, labeling, the analyses or the
 // renderers that moves any report byte at the default scale fails it.
 func TestDefaultReportDigest(t *testing.T) {
 	if testing.Short() {
-		t.Skip("default-scale pipeline run; skipped with -short")
+		t.Skip("default-scale pipeline runs; skipped with -short")
 	}
-	ds, err := simulate.Default(2010).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	if err := core.NewStudy(ds).WriteReport(h); err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != defaultReport2010 {
-		t.Fatalf("default-scale report digest = %s, want %s", got, defaultReport2010)
+	for _, tc := range defaultReports {
+		t.Run(fmt.Sprintf("seed=%d", tc.seed), func(t *testing.T) {
+			ds, err := simulate.Default(tc.seed).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := core.NewStudy(ds).WriteReport(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Fatalf("default-scale report digest = %s, want %s", got, tc.digest)
+			}
+		})
 	}
 }
