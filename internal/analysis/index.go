@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"math/bits"
-	"slices"
-	"strings"
 	"sync"
 
 	"tasterschoice/internal/bitset"
@@ -11,21 +9,23 @@ import (
 	"tasterschoice/internal/symtab"
 )
 
-// Index is the dataset's interned-domain view: every domain occurring
-// in any feed gets a dense integer id (assigned in sorted-name order,
-// so ids are stable across runs and ascending id order is name order),
-// and each feed's membership becomes a bitset over those ids. The
-// paper's coverage and intersection tables — recomputed in full for
-// every class, as list-comparison studies must be — then reduce to
-// word-wise AND/popcount passes that shard across workers.
+// Index is the dataset's interned-domain view: every labeled domain
+// (every domain occurring in any feed) is numbered by its row in
+// Labels, so id i is the domain Labels.syms[i] and its label is
+// Labels.rows[i]. Each feed's membership becomes a bitset over those
+// ids. The paper's coverage and intersection tables — recomputed in
+// full for every class, as list-comparison studies must be — then
+// reduce to word-wise AND/popcount passes that shard across workers.
+// No reader depends on the numbering's order — the tables count, and
+// ReconstructCampaigns sorts what it reads — and label rows are in
+// deterministic feed-then-insertion order, so ids are stable across
+// runs.
 //
 // The index is built lazily on first use and cached; it assumes the
 // Dataset is immutable from that point on, which holds for every
 // dataset produced by simulate/NewDataset.
 type Index struct {
 	ds *Dataset
-	// labels[id] is the label of the domain with that id.
-	labels []*Label
 	// feedIDs[name] holds the feed's member ids, ascending.
 	feedIDs map[string][]int32
 	// feedBits[name] is the feed's membership bitset (class-unfiltered).
@@ -35,9 +35,10 @@ type Index struct {
 	classes   [3]*classView
 }
 
-// classView caches the per-class structures shared by Coverage and
-// Intersections: each feed's class-filtered bitset plus the
-// once/multi accumulators over the feed order.
+// classView caches the per-class structures shared by Coverage,
+// Intersections, GreedySelection and ReconstructCampaigns: each feed's
+// class-filtered bitset plus the once/multi accumulators over the feed
+// order.
 type classView struct {
 	bits *bitset.Set // ids in the class
 	// feed[i] = feedBits[order[i]] ∩ bits, indexed like Result.Order.
@@ -56,35 +57,18 @@ func (ds *Dataset) Index() *Index {
 	return ds.idx
 }
 
-// buildIndex numbers the labeled domains (BuildLabels labels the union
-// of feed domains exhaustively) in sorted-name order and maps each
-// feed's rows onto those ids, all by symbol ID.
+// buildIndex maps each feed's rows onto label-row ids, all by symbol
+// ID: a feed domain's id is its Labels row (BuildLabels labels the
+// union of feed domains exhaustively), so numbering needs no sort and
+// no lookup table.
 func buildIndex(ds *Dataset, workers int) *Index {
 	order := ds.Result.Order
-	tab := ds.World.Syms
 	ix := &Index{
 		ds:       ds,
 		feedIDs:  make(map[string][]int32, len(order)),
 		feedBits: make(map[string]*bitset.Set, len(order)),
 	}
-	type entry struct {
-		name string
-		sym  symtab.ID
-	}
-	ents := make([]entry, len(ds.Labels.syms))
-	for i, d := range ds.Labels.syms {
-		ents[i] = entry{tab.Lookup(d), d}
-	}
-	slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.name, b.name) })
-
-	n := len(ents)
-	// idOf[sym] is sym's id; only feed domains are ever looked up.
-	idOf := make([]int32, len(ds.Labels.pos))
-	ix.labels = make([]*Label, n)
-	for i, e := range ents {
-		idOf[e.sym] = int32(i)
-		ix.labels[i] = ds.Labels.Get(e.sym)
-	}
+	n, pos := ds.Labels.Len(), ds.Labels.pos
 
 	// Per-feed bitsets, one feed per worker; each feed's ascending id
 	// list is read back off its bitset.
@@ -94,15 +78,9 @@ func buildIndex(ds *Dataset, workers int) *Index {
 		f := ds.Feed(order[i])
 		b := bitset.New(n)
 		f.EachIDUnordered(func(d symtab.ID, _ int64) {
-			b.Set(int(idOf[d]))
+			b.Set(int(pos[d] - 1))
 		})
-		list := make([]int32, 0, f.Unique())
-		for w, word := range b.Words() {
-			for ; word != 0; word &= word - 1 {
-				list = append(list, int32(w*64+bits.TrailingZeros64(word)))
-			}
-		}
-		ids[i] = list
+		ids[i] = appendIDs(make([]int32, 0, f.Unique()), b)
 		bitsets[i] = b
 	})
 	for i, name := range order {
@@ -112,8 +90,18 @@ func buildIndex(ds *Dataset, workers int) *Index {
 	return ix
 }
 
+// appendIDs appends the ids set in b to dst, ascending.
+func appendIDs(dst []int32, b *bitset.Set) []int32 {
+	for w, word := range b.Words() {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
 // Label returns the label for id.
-func (ix *Index) Label(id int32) *Label { return ix.labels[id] }
+func (ix *Index) Label(id int32) *Label { return &ix.ds.Labels.rows[id] }
 
 // FeedIDs returns the feed's member ids in ascending order.
 func (ix *Index) FeedIDs(name string) []int32 { return ix.feedIDs[name] }
@@ -127,13 +115,14 @@ func (ix *Index) class(c DomainClass) *classView {
 }
 
 func (ix *Index) buildClass(c DomainClass, workers int) *classView {
-	n := len(ix.labels)
+	rows := ix.ds.Labels.rows
+	n := len(rows)
 	cv := &classView{bits: bitset.New(n)}
 	// Membership bits: each worker owns a contiguous range of whole
 	// words, so no two workers write the same word.
 	parallel.Ranges(workers, len(cv.bits.Words()), func(lo, hi int) {
 		for i := lo * 64; i < min(hi*64, n); i++ {
-			if c.member(ix.labels[i]) {
+			if c.member(&rows[i]) {
 				cv.bits.Set(i)
 			}
 		}

@@ -68,34 +68,49 @@ type PairwiseDist struct {
 // VariationDistances computes Figure 7: pairwise variation distance of
 // tagged-domain volume distributions, including the Mail oracle.
 func VariationDistances(ds *Dataset) *PairwiseDist {
-	names, dists := proportionInputs(ds)
-	n := len(names)
-	out := &PairwiseDist{Names: names, Value: make([][]float64, n), OK: make([][]bool, n)}
-	parallel.ForEach(0, n, func(i int) {
-		out.Value[i] = make([]float64, n)
-		out.OK[i] = make([]bool, n)
-		for j := 0; j < n; j++ {
-			out.Value[i][j] = stats.VariationDistance(dists[i], dists[j])
-			out.OK[i][j] = true
-		}
+	return pairwise(ds, false, func(p, q stats.Dist) (float64, bool) {
+		return stats.VariationDistance(p, q), true
 	})
-	return out
 }
 
 // KendallTaus computes Figure 8: pairwise Kendall rank correlation
 // (tau-b) of tagged-domain volumes, including the Mail oracle.
 func KendallTaus(ds *Dataset) *PairwiseDist {
+	return pairwise(ds, true, func(p, q stats.Dist) (float64, bool) {
+		tau, _, ok := stats.KendallTauB(p, q)
+		return tau, ok
+	})
+}
+
+// pairwise fills the symmetric matrix of metric over the
+// proportionality inputs, one unordered pair per worker, and mirrors
+// each result: both metrics are bit-symmetric (stats' FuzzDistSortedSum
+// and TestKendallTauSymmetric assert it exactly). The diagonal is
+// computed only when diag is set; otherwise it holds the exact zero
+// that δ(P, P) is. VariationDistancesSerial and KendallTausSerial are
+// the pinned full n×n references.
+func pairwise(ds *Dataset, diag bool, metric func(p, q stats.Dist) (float64, bool)) *PairwiseDist {
 	names, dists := proportionInputs(ds)
 	n := len(names)
 	out := &PairwiseDist{Names: names, Value: make([][]float64, n), OK: make([][]bool, n)}
-	parallel.ForEach(0, n, func(i int) {
+	skip := 1 // columns j > i; with diag, j >= i
+	if diag {
+		skip = 0
+	}
+	var pairs [][2]int
+	for i := range n {
 		out.Value[i] = make([]float64, n)
 		out.OK[i] = make([]bool, n)
-		for j := 0; j < n; j++ {
-			tau, _, ok := stats.KendallTauB(dists[i], dists[j])
-			out.Value[i][j] = tau
-			out.OK[i][j] = ok
+		out.OK[i][i] = !diag
+		for j := i + skip; j < n; j++ {
+			pairs = append(pairs, [2]int{i, j})
 		}
+	}
+	parallel.ForEach(0, len(pairs), func(k int) {
+		i, j := pairs[k][0], pairs[k][1]
+		v, ok := metric(dists[i], dists[j])
+		out.Value[i][j], out.OK[i][j] = v, ok
+		out.Value[j][i], out.OK[j][i] = v, ok
 	})
 	return out
 }

@@ -38,9 +38,6 @@ func Purity(ds *Dataset) []PurityRow {
 		var covered, dns, http, tagged, odp, alexa, total int
 		for _, id := range ix.FeedIDs(name) {
 			l := ix.Label(id)
-			if l == nil {
-				continue
-			}
 			total++
 			if l.InZoneTLD {
 				covered++

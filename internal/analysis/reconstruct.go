@@ -1,11 +1,11 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"tasterschoice/internal/stats"
-	"tasterschoice/internal/symtab"
 )
 
 // Campaign reconstruction: the paper notes that "the relationship
@@ -35,32 +35,32 @@ type Reconstruction struct {
 
 // ReconstructCampaigns clusters feedName's tagged domains and scores
 // the result. slack widens each domain's observed activity window
-// before testing overlap (rotation gaps hide in report latency).
+// before testing overlap (rotation gaps hide in report latency). It
+// walks the feed's bitset in the tagged class view (see Index) and
+// counts pairs from group sizes; ReconstructCampaignsSerial is the
+// pinned pair-by-pair reference.
 func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Reconstruction {
 	type item struct {
 		d           string
 		program     int
 		campaign    int
 		first, last time.Time
-		cluster     int
 	}
 	feed := ds.Feed(feedName)
+	tagged := ds.Index().class(ClassTagged).feed[slices.Index(ds.Result.Order, feedName)]
 	var items []item
-	feed.EachIDUnordered(func(d symtab.ID, _ int64) {
-		l := ds.Labels.Get(d)
-		if !ClassTagged.member(l) {
-			return
-		}
+	for _, id := range appendIDs(nil, tagged) {
+		d := ds.Labels.syms[id]
 		info, ok := ds.World.InfoID(d)
 		if !ok || info.Campaign < 0 {
-			return
+			continue
 		}
 		s, _ := feed.StatID(d)
 		items = append(items, item{
-			d: ds.name(d), program: l.Program, campaign: info.Campaign,
+			d: ds.name(d), program: ds.Labels.rows[id].Program, campaign: info.Campaign,
 			first: s.First.Add(-slack), last: s.Last.Add(slack),
 		})
-	})
+	}
 	rec := Reconstruction{Feed: feedName, Domains: len(items)}
 	if len(items) == 0 {
 		return rec
@@ -76,11 +76,11 @@ func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Rec
 		}
 		return items[i].d < items[j].d
 	})
+	ms := make([]member, len(items))
 	cluster := -1
 	var curProgram int
 	var curEnd time.Time
-	for i := range items {
-		it := &items[i]
+	for i, it := range items {
 		if cluster < 0 || it.program != curProgram || it.first.After(curEnd) {
 			cluster++
 			curProgram = it.program
@@ -88,36 +88,38 @@ func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Rec
 		} else if it.last.After(curEnd) {
 			curEnd = it.last
 		}
-		it.cluster = cluster
+		ms[i] = member{cluster: cluster, campaign: it.campaign}
 	}
 	rec.Clusters = cluster + 1
 
-	trueSeen := map[int]bool{}
-	for _, it := range items {
-		trueSeen[it.campaign] = true
-	}
-	rec.TrueCampaigns = len(trueSeen)
-
 	// Pairwise precision/recall.
-	var sameBoth, sameCluster, sameTruth int
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			sc := items[i].cluster == items[j].cluster
-			st := items[i].campaign == items[j].campaign
-			if sc {
-				sameCluster++
-			}
-			if st {
-				sameTruth++
-			}
-			if sc && st {
-				sameBoth++
-			}
-		}
-	}
+	sameCluster, sameTruth, sameBoth, campaigns := pairCounts(ms)
+	rec.TrueCampaigns = campaigns
 	rec.PairPrecision = stats.Fraction(sameBoth, sameCluster)
 	rec.PairRecall = stats.Fraction(sameBoth, sameTruth)
 	return rec
+}
+
+// member is one clustered domain: its inferred cluster and its true
+// campaign.
+type member struct{ cluster, campaign int }
+
+// pairCounts counts the unordered pairs of ms that share a cluster,
+// share a campaign, and share both, and the distinct campaigns. Each
+// member pairs with the members of its groups seen before it, so a
+// group of n sums to n(n−1)/2 pairs without visiting any pair.
+func pairCounts(ms []member) (sameCluster, sameCampaign, sameBoth, campaigns int) {
+	clusters, camps := make(map[int]int, len(ms)), make(map[int]int, len(ms))
+	both := make(map[member]int, len(ms))
+	for _, m := range ms {
+		sameCluster += clusters[m.cluster]
+		sameCampaign += camps[m.campaign]
+		sameBoth += both[m]
+		clusters[m.cluster]++
+		camps[m.campaign]++
+		both[m]++
+	}
+	return sameCluster, sameCampaign, sameBoth, len(camps)
 }
 
 // ReconstructAll scores every feed with the given slack.

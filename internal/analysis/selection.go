@@ -1,5 +1,11 @@
 package analysis
 
+import (
+	"slices"
+
+	"tasterschoice/internal/bitset"
+)
+
 // Greedy feed selection: the paper's §5 advice — "when working with
 // multiple feeds, the priority should be to obtain a set that is as
 // diverse as possible; additional feeds of the same type offer reduced
@@ -23,47 +29,40 @@ type SelectionStep struct {
 
 // GreedySelection repeatedly picks the feed with the largest marginal
 // contribution of domains in the given class, until every feed is
-// chosen. Ties break toward the canonical feed order.
+// chosen. Ties break toward the canonical feed order. Gains are
+// popcounts over the class view's feed bitsets (see Index);
+// GreedySelectionSerial is the pinned string-set reference.
 func GreedySelection(ds *Dataset, class DomainClass) []SelectionStep {
 	order := ds.Result.Order
-	sets := make(map[string]map[string]bool, len(order))
-	union := make(map[string]bool)
-	for _, name := range order {
-		s := FeedDomains(ds, name, class)
-		sets[name] = s
-		for d := range s {
-			union[d] = true
-		}
+	cv := ds.Index().class(class)
+	nw := len(cv.once.Words())
+	covered := bitset.New(cv.once.Len())
+	remaining := make([]int, len(order))
+	for i := range remaining {
+		remaining[i] = i
 	}
-	covered := make(map[string]bool)
-	remaining := append([]string(nil), order...)
 	steps := make([]SelectionStep, 0, len(order))
+	cumulative := 0
 	for len(remaining) > 0 {
 		bestIdx, bestGain := 0, -1
-		for i, name := range remaining {
-			gain := 0
-			for d := range sets[name] {
-				if !covered[d] {
-					gain++
-				}
-			}
-			if gain > bestGain {
+		for i, fi := range remaining {
+			f := cv.feed[fi]
+			if gain := f.AndNotCountRange(f, covered, 0, nw); gain > bestGain {
 				bestIdx, bestGain = i, gain
 			}
 		}
-		name := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		for d := range sets[name] {
-			covered[d] = true
-		}
+		fi := remaining[bestIdx]
+		remaining = slices.Delete(remaining, bestIdx, bestIdx+1)
+		covered.OrInRange(cv.feed[fi], 0, nw)
+		cumulative += bestGain
 		frac := 0.0
-		if len(union) > 0 {
-			frac = float64(len(covered)) / float64(len(union))
+		if cv.unionSize > 0 {
+			frac = float64(cumulative) / float64(cv.unionSize)
 		}
 		steps = append(steps, SelectionStep{
-			Feed:           name,
+			Feed:           order[fi],
 			Marginal:       bestGain,
-			Cumulative:     len(covered),
+			Cumulative:     cumulative,
 			CumulativeFrac: frac,
 		})
 	}

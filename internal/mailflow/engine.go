@@ -3,6 +3,7 @@ package mailflow
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -304,8 +305,11 @@ func (e *Engine) chaffIDWith(rng *randutil.RNG) (d, url symtab.ID, ok bool) {
 }
 
 // uniformTimesNanos appends n times uniform over w to buf, as packed
-// UnixNano, consuming exactly one Float64 draw per time.
+// UnixNano, consuming exactly one Float64 draw per time. It grows buf
+// once, so a caller reusing a short buffer for a long stream does not
+// regrow it step by step.
 func uniformTimesNanos(rng *randutil.RNG, w simclock.Window, n int, buf []int64) []int64 {
+	buf = slices.Grow(buf, n)
 	span := float64(w.Duration())
 	startN := w.Start.UnixNano()
 	for i := 0; i < n; i++ {

@@ -1,7 +1,6 @@
 package mailflow
 
 import (
-	"slices"
 	"time"
 
 	"tasterschoice/internal/ecosystem"
@@ -320,7 +319,7 @@ func (e *Engine) planObserve(a *planArena, rng *randutil.RNG, feed uint8,
 	if !w.End.After(w.Start) {
 		return
 	}
-	a.scratch = uniformTimesNanos(rng, w, n, slices.Grow(a.scratch[:0], n))
+	a.scratch = uniformTimesNanos(rng, w, n, a.scratch[:0])
 	for _, t := range a.scratch {
 		a.add(feed, feedObs{t: t, d: d, url: url})
 		if e.Cfg.ChaffProb > 0 && rng.Bool(e.Cfg.ChaffProb) {
