@@ -6,20 +6,20 @@ import (
 	"testing"
 	"time"
 
+	"tasterschoice/internal/dnszone"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/feeds"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/symtab"
+	"tasterschoice/internal/webcrawl"
 )
 
-// syntheticDataset builds a dataset of n labeled domains without a
-// world or a crawl: ten feeds bound to one symbol table, as the
-// collection engine binds them, and labels collected in BuildLabels'
-// feed-then-insertion order. Domain i goes to feed i%10, and every
-// third domain to the next feed too, so the class views see overlap.
-// Names are interned in reverse order, so symbol, label-row and name
-// order all differ.
-func syntheticDataset(n int) *Dataset {
+// syntheticFeeds builds n domains in ten feeds bound to one symbol
+// table, as the collection engine binds them. Domain i goes to feed
+// i%10, and every third domain to the next feed too, so the class
+// views see overlap. Names are interned in reverse order, so symbol,
+// label-row and name order all differ.
+func syntheticFeeds(n int) (*symtab.Table, *mailflow.Result) {
 	tab := symtab.New()
 	syms := make([]symtab.ID, n)
 	for i := n - 1; i >= 0; i-- {
@@ -41,9 +41,17 @@ func syntheticDataset(n int) *Dataset {
 			fs[(i+1)%len(fs)].ObserveID(at, d, 0)
 		}
 	}
+	return tab, res
+}
+
+// syntheticDataset builds a dataset of n labeled domains without a
+// world or a crawl: syntheticFeeds' feeds, and labels collected in
+// BuildLabels' feed-then-insertion order.
+func syntheticDataset(n int) *Dataset {
+	tab, res := syntheticFeeds(n)
 	ls := &Labels{pos: make([]int32, tab.Len())}
-	for _, f := range fs {
-		f.EachIDUnordered(func(d symtab.ID, _ int64) {
+	for _, name := range res.Order {
+		res.Feed(name).EachIDUnordered(func(d symtab.ID, _ int64) {
 			if ls.pos[d] == 0 {
 				ls.syms = append(ls.syms, d)
 				ls.pos[d] = int32(len(ls.syms))
@@ -81,6 +89,41 @@ func TestIndexScalesLinearly(t *testing.T) {
 	t.Logf("heap bytes per labeled domain: %.1f at %d domains, %.1f at %d", small, n, large, 8*n)
 	if large > 2*small {
 		t.Fatalf("the index allocates %.0f B per domain at %d domains but %.0f B at %d",
+			small, n, large, 8*n)
+	}
+}
+
+// rootVisitor is a crawler stub: every domain's root answers, and no
+// page is tagged.
+type rootVisitor struct{}
+
+func (rootVisitor) Visit(d symtab.ID, rawURL string) webcrawl.Result {
+	return webcrawl.Result{URL: rawURL, OK: true}
+}
+
+// TestBuildLabelsScalesLinearly holds the heap bytes that BuildLabels
+// allocates per labeled domain within 2× from n to 8n domains, over
+// syntheticFeeds with a crawler stub and an empty zone registry: a
+// union list or position table copied per new domain, or a crawl
+// that kept per-domain garbage, would show here first.
+func TestBuildLabelsScalesLinearly(t *testing.T) {
+	perDomain := func(n int) float64 {
+		tab, res := syntheticFeeds(n)
+		w := &ecosystem.World{Syms: tab, Registry: dnszone.NewPaperRegistry(tab.Len())}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ls := BuildLabelsWith(w, res, 2, func() webcrawl.Visitor { return rootVisitor{} })
+		runtime.ReadMemStats(&after)
+		if ls.Len() != n {
+			t.Fatalf("%d labels over %d feed domains", ls.Len(), n)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	const n = 16_384
+	small, large := perDomain(n), perDomain(8*n)
+	t.Logf("heap bytes per labeled domain: %.1f at %d domains, %.1f at %d", small, n, large, 8*n)
+	if large > 2*small {
+		t.Fatalf("BuildLabels allocates %.0f B per domain at %d domains but %.0f B at %d",
 			small, n, large, 8*n)
 	}
 }

@@ -142,9 +142,15 @@ func BuildLabelsWith(w *ecosystem.World, res *mailflow.Result, workers int,
 	ls := &Labels{pos: make([]int32, w.Syms.Len())}
 
 	// Collect the union of feed domains in deterministic (feed-order,
-	// then insertion-order) sequence. Sample URLs are not materialized
+	// then insertion-order) sequence, into a list sized once for the
+	// feeds' domains with repeats. Sample URLs are not materialized
 	// here: labelOne pulls them per domain straight from the feeds, so
 	// no per-domain URL slices are built up front.
+	total := 0
+	for _, f := range fs {
+		total += f.Unique()
+	}
+	ls.syms = make([]symtab.ID, 0, total)
 	for _, f := range fs {
 		f.EachIDUnordered(func(d symtab.ID, _ int64) {
 			if ls.pos[d] == 0 {

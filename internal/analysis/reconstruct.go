@@ -1,8 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"tasterschoice/internal/stats"
@@ -40,15 +41,17 @@ type Reconstruction struct {
 // counts pairs from group sizes; ReconstructCampaignsSerial is the
 // pinned pair-by-pair reference.
 func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Reconstruction {
+	// item is one tagged domain: its widened activity window in Unix
+	// nanoseconds, its program and true campaign, and its label row,
+	// whose name is read only to break a tie.
 	type item struct {
-		d           string
-		program     int
-		campaign    int
-		first, last time.Time
+		first, last       int64
+		program, campaign int32
+		id                int32
 	}
 	feed := ds.Feed(feedName)
 	tagged := ds.Index().class(ClassTagged).feed[slices.Index(ds.Result.Order, feedName)]
-	var items []item
+	items := make([]item, 0, tagged.Count())
 	for _, id := range appendIDs(nil, tagged) {
 		d := ds.Labels.syms[id]
 		info, ok := ds.World.InfoID(d)
@@ -57,8 +60,8 @@ func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Rec
 		}
 		s, _ := feed.StatID(d)
 		items = append(items, item{
-			d: ds.name(d), program: ds.Labels.rows[id].Program, campaign: info.Campaign,
-			first: s.First.Add(-slack), last: s.Last.Add(slack),
+			first: s.First.UnixNano() - int64(slack), last: s.Last.UnixNano() + int64(slack),
+			program: int32(ds.Labels.rows[id].Program), campaign: int32(info.Campaign), id: id,
 		})
 	}
 	rec := Reconstruction{Feed: feedName, Domains: len(items)}
@@ -67,28 +70,28 @@ func ReconstructCampaigns(ds *Dataset, feedName string, slack time.Duration) Rec
 	}
 	// Cluster: within each program, chain domains whose widened
 	// activity windows overlap.
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].program != items[j].program {
-			return items[i].program < items[j].program
+	slices.SortFunc(items, func(a, b item) int {
+		if c := cmp.Compare(a.program, b.program); c != 0 {
+			return c
 		}
-		if !items[i].first.Equal(items[j].first) {
-			return items[i].first.Before(items[j].first)
+		if c := cmp.Compare(a.first, b.first); c != 0 {
+			return c
 		}
-		return items[i].d < items[j].d
+		return strings.Compare(ds.name(ds.Labels.syms[a.id]), ds.name(ds.Labels.syms[b.id]))
 	})
 	ms := make([]member, len(items))
 	cluster := -1
-	var curProgram int
-	var curEnd time.Time
+	var curProgram int32
+	var curEnd int64
 	for i, it := range items {
-		if cluster < 0 || it.program != curProgram || it.first.After(curEnd) {
+		if cluster < 0 || it.program != curProgram || it.first > curEnd {
 			cluster++
 			curProgram = it.program
 			curEnd = it.last
-		} else if it.last.After(curEnd) {
+		} else if it.last > curEnd {
 			curEnd = it.last
 		}
-		ms[i] = member{cluster: cluster, campaign: it.campaign}
+		ms[i] = member{cluster: cluster, campaign: int(it.campaign)}
 	}
 	rec.Clusters = cluster + 1
 

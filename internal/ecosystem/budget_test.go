@@ -3,12 +3,12 @@ package ecosystem
 import "testing"
 
 // generateBudget is the most heap allocations a default seed-2010
-// Generate may make: 10% above the ~106k it makes for its 79,200
-// symbols. Each new name and URL costs the symbol table one string,
-// built in a reused buffer, and the per-domain ground truth and the
-// registry are slices sized once; a string built per draw, a map entry
+// Generate may make: 10% above the ~26.7k it makes for its 79,200
+// symbols. Names and URLs are built in a reused buffer and copied into
+// the symbol table's byte chunks, and the per-domain ground truth and
+// the registry are slices sized once; a string per symbol, a map entry
 // or a heap object per domain would each add tens of thousands.
-const generateBudget = 116_500
+const generateBudget = 29_400
 
 // TestGenerateAllocBudget holds a default seed-2010 Generate to
 // generateBudget allocations. testing.AllocsPerRun pins GOMAXPROCS to

@@ -18,6 +18,7 @@ func Generate(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{Config: cfg, Syms: symtab.New()}
+	w.Syms.Reserve(cfg.minSymbols())
 	root := randutil.New(cfg.Seed)
 	names := newNameGen(root.SplitNamed("names"), w.Syms)
 
@@ -341,6 +342,15 @@ func (w *World) campaignCategory(c *Campaign) Category {
 		return CategoryOther
 	}
 	return w.Programs[c.Program].Category
+}
+
+// minSymbols is a lower bound on the symbols Generate interns, from
+// the counts the config fixes: each benign domain and its URL, each
+// obscure domain, and each web-only domain and its ad URL. The drawn
+// campaigns add the rest, so reserving this never over-sizes the
+// symbol table.
+func (c *Config) minSymbols() int {
+	return 2*c.BenignDomains + c.ObscureRegistered + 2*c.scaled(c.WebOnlyDomains, 1)
 }
 
 // megaCampaigns is how many mega campaigns genCampaigns draws: the

@@ -54,7 +54,7 @@ var (
 // contains "://", so none can collide with an interned URL. Names and
 // ad URLs are built in one reused buffer and interned as bytes, so a
 // colliding draw allocates nothing and every name shares the table's
-// string.
+// bytes.
 type nameGen struct {
 	rng       *randutil.RNG
 	spamTLD   *randutil.WeightedChoice

@@ -171,6 +171,21 @@ func (f *Feed) rowOf(id symtab.ID) *row {
 	return &f.rows[ri-1]
 }
 
+// Grow makes room for rows more domains and for domain IDs below ids,
+// so recording them appends in place: a caller that can count what it
+// is about to record sizes the columns once instead of letting them
+// regrow as it records.
+func (f *Feed) Grow(rows, ids int) {
+	if n := len(f.rows) + rows; n > cap(f.rows) {
+		f.rows = append(make([]row, 0, n), f.rows...)
+	}
+	if ids > len(f.idx) {
+		grown := make([]int32, ids)
+		copy(grown, f.idx)
+		f.idx = grown
+	}
+}
+
 // addRow appends a fresh row for id and indexes it.
 func (f *Feed) addRow(r row) {
 	f.rows = append(f.rows, r)

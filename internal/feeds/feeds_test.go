@@ -305,3 +305,38 @@ func TestObserveIDScalesLinearly(t *testing.T) {
 			small, n, large, 8*n)
 	}
 }
+
+// TestGrowSizesColumns checks that Grow sizes both columns at once:
+// after Grow(r, n), recording r new domains with IDs below n, highest
+// first, allocates nothing. Without Grow the same records regrow the
+// rows and the ID index.
+func TestGrowSizesColumns(t *testing.T) {
+	const rows, ids = 1000, 5000
+	at := t0.UnixNano()
+	record := func(f *Feed) float64 {
+		// AllocsPerRun calls the function twice, each time recording
+		// half of the new domains: IDs ids-1, ids-1-ids/rows, ... 4.
+		k := 0
+		return testing.AllocsPerRun(1, func() {
+			for end := k + rows/2; k < end; k++ {
+				d := symtab.ID(ids - 1 - k*(ids/rows))
+				if k%2 == 0 {
+					f.ObserveID(at, d, 0)
+				} else {
+					f.ObserveOnceID(at, d)
+				}
+			}
+		})
+	}
+	f := New("mx1", KindMXHoneypot, true, true)
+	f.Grow(rows, ids)
+	if allocs := record(f); allocs != 0 {
+		t.Fatalf("recording %d domains after Grow(%d, %d) made %.0f allocations", rows, rows, ids, allocs)
+	}
+	if f.Unique() != rows {
+		t.Fatalf("Unique = %d, want %d", f.Unique(), rows)
+	}
+	if allocs := record(New("mx1", KindMXHoneypot, true, true)); allocs == 0 {
+		t.Fatal("recording into an ungrown feed allocated nothing; the test measures nothing")
+	}
+}

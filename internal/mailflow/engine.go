@@ -182,17 +182,21 @@ func (e *Engine) Run() (res *Result, err error) {
 	if e.OnFeeds != nil {
 		e.OnFeeds(e.res.Feeds)
 	}
+	// Generation interned every domain that campaigns, typos and
+	// blacklist junk name, so each feed's ID index is sized for them
+	// here; sizeFeeds grows it for the mint's names.
 	for i, name := range FeedNames {
 		f := e.res.Feed(name)
 		f.Bind(e.syms)
+		f.Grow(0, e.syms.Len())
 		e.feedArr[i] = f
 	}
 	root := randutil.New(e.Cfg.Seed)
 
 	// The junk and poison names are interned on one goroutine while
 	// campaigns are planned; Run waits for it on every return path.
-	// The table's index is sized for them first, so it does not
-	// double while the mint runs.
+	// The table's index and AutoURL cache are sized for them first,
+	// so neither doubles while the mint runs.
 	e.syms.Reserve(e.mintSymbols())
 	var m minted
 	var minting sync.WaitGroup
@@ -226,6 +230,7 @@ func (e *Engine) Run() (res *Result, err error) {
 
 	e.phase("typoTraffic", func() { e.typoTraffic(root.SplitNamed("typos")) })
 	minting.Wait()
+	e.phase("sizeFeeds", func() { e.sizeFeeds(&m) })
 	e.phase("honeypotJunk", func() { e.replay(m.honeypot) })
 	e.phase("poison", func() { e.replay(m.poison) })
 	e.phase("huJunk", func() { e.replay(m.hu) })
@@ -483,6 +488,34 @@ func (e *Engine) mintSymbols() int {
 	poison := float64(c.PoisonBotArrivals)*c.PoisonFreshProbBot +
 		float64(c.PoisonMX2Arrivals)*c.PoisonFreshProbMX2
 	return int(2*(hpjunk+poison) + c.HuJunkReports)
+}
+
+// sizeFeeds grows each feed once for the mint's buffered runs before
+// they are replayed: its rows by the distinct domains that are new to
+// it, counted exactly, and its ID index to the highest replayed ID.
+// Sizing by observations would over-reserve: most poison arrivals
+// repeat a recent name.
+func (e *Engine) sizeFeeds(m *minted) {
+	// seen[d] is 1 + the index of the last feed that counted d.
+	seen := make([]uint8, e.syms.Len())
+	for fi, f := range e.feedArr {
+		rows, ids := 0, 0
+		for _, runs := range [...][]obsRun{m.honeypot, m.poison, m.hu} {
+			for _, r := range runs {
+				if int(r.feed) != fi {
+					continue
+				}
+				for _, o := range r.obs {
+					ids = max(ids, int(o.d)+1)
+					if seen[o.d] != uint8(fi+1) && !f.HasID(o.d) {
+						seen[o.d] = uint8(fi + 1)
+						rows++
+					}
+				}
+			}
+		}
+		f.Grow(rows, ids)
+	}
 }
 
 // replay observes buffered runs in order. The blacklists' runs are

@@ -56,7 +56,7 @@ func TestGoldenEngineInertUnderInstrumentation(t *testing.T) {
 		seen[s.Name] = true
 	}
 	for _, phase := range []string{
-		"mint", "observeCampaigns", "typoTraffic", "honeypotJunk", "poison",
+		"mint", "observeCampaigns", "typoTraffic", "sizeFeeds", "honeypotJunk", "poison",
 		"huJunk", "blacklistJunk", "benignBaseline", "restrictBlacklists",
 	} {
 		if !seen[phase] {

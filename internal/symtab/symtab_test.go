@@ -3,6 +3,8 @@ package symtab
 import (
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -67,13 +69,31 @@ func TestFind(t *testing.T) {
 	}
 }
 
-// TestIndexGrowth interns across four doublings of the index, then
+// meanDisplacement returns how far, on average, an occupied index
+// slot sits past the slot its tag hashes to.
+func meanDisplacement(tab *Table) float64 {
+	mask := len(tab.index) - 1
+	var sum, n int
+	for pos, slot := range tab.index {
+		if slot != 0 {
+			sum += (pos - int(slot>>32)) & mask
+			n++
+		}
+	}
+	return float64(sum) / float64(n)
+}
+
+// TestIndexGrowth interns across eight doublings of the index, then
 // reserves room for three times the table and interns into it. After
 // each doubling and after the reservation it checks that every symbol
 // is still found, that misses stay misses, that InternBytes and Intern
 // agree without adding symbols, that derived URLs keep their IDs, and
-// that the index is at most half full; once reserved, the index must
-// not grow until the reserved symbols are in.
+// that the index is at most 3/4 full; once reserved, the index must
+// not grow until the reserved symbols are in. Just before each
+// doubling from 1024 slots up, when the index is fullest, the mean
+// distance of a slot from its hashed position must stay at most 2:
+// linear probing at 3/4 load averages 1.5 with a well-mixed hash, and
+// a weak hash clusters far past that.
 func TestIndexGrowth(t *testing.T) {
 	tab := New()
 	ids := map[string]ID{"": 0}
@@ -91,7 +111,7 @@ func TestIndexGrowth(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		size, n := len(tab.index), tab.Len()
-		if 2*n > size {
+		if 4*n > 3*size {
 			t.Fatalf("%s: index of %d slots holds %d symbols", stage, size, n)
 		}
 		for s, id := range ids {
@@ -115,19 +135,31 @@ func TestIndexGrowth(t *testing.T) {
 		}
 	}
 	size := len(tab.index)
-	for growths := 0; growths < 4; {
+	for growths, measured := 0, false; growths < 8; {
+		// add interns at most two symbols; the next call may double.
+		// Below 1024 slots the mean is too noisy to bound.
+		if !measured && size >= 1024 && 4*(tab.Len()+2) > 3*size {
+			d := meanDisplacement(tab)
+			t.Logf("index of %d slots holding %d symbols: mean displacement %.2f", size, tab.Len(), d)
+			if d > 2 {
+				t.Fatalf("mean displacement %.2f exceeds 2", d)
+			}
+			measured = true
+		}
 		add()
 		if len(tab.index) != size {
 			growths++
 			size = len(tab.index)
+			measured = false
 			check(fmt.Sprintf("growth %d", growths))
 		}
 	}
 
 	extra := 3 * tab.Len()
 	tab.Reserve(extra)
-	reserved := len(tab.index)
-	if reserved <= size || 2*(tab.Len()+extra) > reserved || reserved >= 4*(tab.Len()+extra) {
+	reserved, want := len(tab.index), tab.Len()+extra
+	// The smallest power of two that holds want symbols at 3/4 load.
+	if reserved <= size || 4*want > 3*reserved || 4*want <= 3*(reserved/2) {
 		t.Fatalf("Reserve(%d) at %d symbols: index of %d slots, was %d", extra, tab.Len(), reserved, size)
 	}
 	check("reserved")
@@ -200,10 +232,15 @@ func TestLookupPanicsOnUnassignedID(t *testing.T) {
 
 // TestConcurrentLookupDuringIntern exercises the lock-free reader
 // contract under the race detector: one writer interning, many readers
-// looking up already-published IDs.
+// looking up already-published IDs and comparing each string with the
+// one interned, while the writer fills new pages and chunks.
 func TestConcurrentLookupDuringIntern(t *testing.T) {
 	tab := New()
 	const total = 4 * pageSize
+	names := make([]string, total+1) // names[id]; "" is ID 0
+	for i := 1; i <= total; i++ {
+		names[i] = fmt.Sprintf("concurrent-%d.net", i-1)
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -218,20 +255,114 @@ func TestConcurrentLookupDuringIntern(t *testing.T) {
 				}
 				n := tab.Len()
 				for id := 0; id < n; id++ {
-					if tab.Lookup(ID(id)) == "missing" {
-						t.Error("impossible symbol")
+					if got := tab.Lookup(ID(id)); got != names[id] {
+						t.Errorf("Lookup(%d) = %q, want %q", id, got, names[id])
 						return
 					}
 				}
 			}
 		}()
 	}
-	for i := 0; i < total; i++ {
-		tab.Intern(fmt.Sprintf("concurrent-%d.net", i))
+	for _, s := range names[1:] {
+		tab.Intern(s)
 	}
 	close(stop)
 	wg.Wait()
 	if tab.Len() != total+1 {
 		t.Fatalf("Len = %d, want %d", tab.Len(), total+1)
+	}
+}
+
+// TestLookupStableAcrossGrowth holds the chunk storage to its
+// write-once rule: strings Lookup returned earlier still read the same
+// after another 100k symbols fill new pages and chunks and the
+// collector runs.
+func TestLookupStableAcrossGrowth(t *testing.T) {
+	tab := New()
+	const early, later = 2000, 100_000
+	got := make([]string, early)
+	for i := range got {
+		got[i] = tab.Lookup(tab.Intern(fmt.Sprintf("early-%d.example", i)))
+	}
+	var buf []byte
+	for i := 0; i < later; i++ {
+		buf = strconv.AppendInt(append(buf[:0], "later-"...), int64(i), 10)
+		tab.InternBytes(buf)
+	}
+	runtime.GC()
+	for i, s := range got {
+		if want := fmt.Sprintf("early-%d.example", i); s != want {
+			t.Fatalf("string %d read %q after growth, want %q", i, s, want)
+		}
+		if id, ok := tab.Find(s); !ok || tab.Lookup(id) != s {
+			t.Fatalf("Find(%q) = (%d, %v) after growth", s, id, ok)
+		}
+	}
+}
+
+// TestInternBytesKeepsNoBuffer checks that InternBytes copies a new
+// key: overwriting the caller's buffer afterwards changes nothing the
+// table returns, and a hit does not take the buffer either.
+func TestInternBytesKeepsNoBuffer(t *testing.T) {
+	tab := New()
+	buf := []byte("buffered.example")
+	id := tab.InternBytes(buf)
+	if tab.InternBytes(buf) != id {
+		t.Fatal("second InternBytes of the same key assigned a new ID")
+	}
+	copy(buf, "XXXXXXXXXXXXXXXX")
+	if got := tab.Lookup(id); got != "buffered.example" {
+		t.Fatalf("Lookup after overwriting the key buffer = %q", got)
+	}
+	if got, ok := tab.Find("buffered.example"); !ok || got != id {
+		t.Fatalf("Find after overwriting the key buffer = (%d, %v), want (%d, true)", got, ok, id)
+	}
+}
+
+// TestSymbolLengths round-trips the empty string and symbols at and
+// around the chunk cap, up to a 2 MiB symbol that needs its own chunk
+// and a length wider than a location's length field, with short
+// symbols before and after each.
+func TestSymbolLengths(t *testing.T) {
+	tab := New()
+	ids := map[string]ID{}
+	for i, n := range []int{0, 1, maxChunk - 1, maxChunk, maxChunk + 1, 2 << 20, 5} {
+		long := strings.Repeat(string(rune('a'+i)), n)
+		short := fmt.Sprintf("short-%d.example", i)
+		ids[short] = tab.Intern(short)
+		ids[long] = tab.Intern(long)
+	}
+	if ids[""] != 0 {
+		t.Fatalf("Intern(\"\") = %d, want 0", ids[""])
+	}
+	for s, id := range ids {
+		if got := tab.Lookup(id); got != s {
+			t.Fatalf("Lookup(%d) has length %d, want %d", id, len(got), len(s))
+		}
+		if got, ok := tab.Find(s); !ok || got != id {
+			t.Fatalf("Find of a %d-byte symbol = (%d, %v), want (%d, true)", len(s), got, ok, id)
+		}
+	}
+}
+
+// TestInternAllocatesInChunks interns 100k fresh symbols and counts
+// the heap objects made: pages, chunks and index growth are a few
+// hundred, where a string per symbol would be 100k.
+func TestInternAllocatesInChunks(t *testing.T) {
+	tab := New()
+	const n = 100_000
+	buf := make([]byte, 0, 32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		buf = strconv.AppendInt(append(buf[:0], "fresh-"...), int64(i), 10)
+		tab.InternBytes(buf)
+	}
+	runtime.ReadMemStats(&after)
+	if tab.Len() != n+1 {
+		t.Fatalf("Len = %d, want %d", tab.Len(), n+1)
+	}
+	if objs := after.Mallocs - before.Mallocs; objs >= 1000 {
+		t.Fatalf("interning %d symbols made %d heap objects, want fewer than 1000", n, objs)
 	}
 }
