@@ -9,6 +9,28 @@ import (
 	"time"
 )
 
+// ARecord builds an A record for the given IPv4 address bytes. The
+// plane appends its answers in place; this builder and TXTRecord exist
+// for the codec tests, the fuzz seed and BenchmarkPackUnpack.
+func ARecord(name string, ttl uint32, a, b, c, d byte) Record {
+	return Record{Name: name, Type: TypeA, Class: ClassIN, TTL: ttl,
+		Data: []byte{a, b, c, d}}
+}
+
+// TXTRecord builds a TXT record holding one character string (split if
+// longer than 255 bytes).
+func TXTRecord(name string, ttl uint32, text string) Record {
+	var data []byte
+	for len(text) > 255 {
+		data = append(data, 255)
+		data = append(data, text[:255]...)
+		text = text[255:]
+	}
+	data = append(data, byte(len(text)))
+	data = append(data, text...)
+	return Record{Name: name, Type: TypeTXT, Class: ClassIN, TTL: ttl, Data: data}
+}
+
 func TestMessageRoundTrip(t *testing.T) {
 	m := &Message{
 		Header: Header{

@@ -71,7 +71,9 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // TestRespondSteadyStateAllocs pins the fast path's allocation story:
-// after warmup, answering costs zero allocations per query.
+// after warmup, answering costs zero allocations per query, and so
+// does caching a never-seen miss once every negative-cache slot has
+// held one.
 func TestRespondSteadyStateAllocs(t *testing.T) {
 	p, err := New(Config{Zones: []ZoneConfig{{Suffix: "dbl.test"}}, Shards: 4})
 	if err != nil {
@@ -93,5 +95,25 @@ func TestRespondSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0.5 {
 		t.Fatalf("steady-state Respond allocates %.1f allocs per %d-query pass, want 0", avg, len(qs))
+	}
+
+	// Never-repeated misses, each pass more than the 4×512 slots the
+	// cache holds, so every miss evicts one. The first pass (the one
+	// AllocsPerRun discards) leaves every slot holding a name of this
+	// length; the measured pass must reuse the slots' buffers.
+	const missPass = 4096
+	misses := make([][]byte, 2*missPass)
+	for i := range misses {
+		misses[i] = appendQuery(nil, uint16(i), fmt.Sprintf("never%06d.example", i), "dbl.test", 1)
+	}
+	next := 0
+	avg = testing.AllocsPerRun(1, func() {
+		for _, q := range misses[next : next+missPass] {
+			out = r.Respond(out[:0], q)
+		}
+		next += missPass
+	})
+	if avg != 0 {
+		t.Fatalf("answering %d never-seen misses allocates %.0f times once the negative cache is full, want 0", missPass, avg)
 	}
 }

@@ -1,6 +1,7 @@
 package dnsblplane
 
 import (
+	"bytes"
 	"sync"
 	"time"
 )
@@ -8,7 +9,7 @@ import (
 // negCache is a bounded TTL cache of packed NXDOMAIN responses, one
 // per shard. Real resolver floods repeat the same missing names (junk
 // campaigns churn through unregistered domains faster than resolvers
-// forget them), so a repeated miss should cost a map hit and a copy,
+// forget them), so a repeated miss should cost a lookup and a copy,
 // not a parse, a shard lookup and a response build.
 //
 // Entries are validated two ways on read: against the wall of their
@@ -17,24 +18,38 @@ import (
 // shard dies instantly without the writer touching the cache. FIFO
 // ring eviction bounds memory: when the cache is full the oldest key
 // is overwritten, no heap, no LRU bookkeeping.
+//
+// Each ring slot owns its key and response buffers and reuses them
+// when it is overwritten, so once every slot has held a miss, storing
+// one more allocates nothing (unless it is longer than any the slot
+// held before).
 type negCache struct {
 	mu sync.Mutex
-	// m maps the exact wire question section (name bytes as sent, plus
-	// qtype/qclass) to the cached response. Keying on the raw bytes
-	// keeps 0x20-mixed-case queries distinct, so the echoed question in
-	// a cached response always matches what the client asked.
-	m map[string]negEntry
-	// ring holds insertion order for FIFO eviction.
-	ring []string
-	next int
-	cap  int
+	// slots is the FIFO ring; an insert claims slots[next].
+	slots []negSlot
+	next  int
+	// heads indexes the slots by key hash: heads[hash&mask] is 1 + the
+	// first slot of that hash chain (0: none), and each slot links the
+	// next one through its chain field.
+	heads []int32
+	mask  uint32
 }
 
-// negEntry is one cached negative answer.
-type negEntry struct {
-	// resp is the full packed response; the server patches ID and RD
-	// per query before sending.
+// negSlot is one cached negative answer.
+type negSlot struct {
+	// key is the exact wire question section (name bytes as sent, plus
+	// qtype/qclass), empty while the slot is free. Keying on the raw
+	// bytes keeps 0x20-mixed-case queries distinct, so the echoed
+	// question in a cached response always matches what the client
+	// asked.
+	key []byte
+	// resp is the full packed response; the caller patches ID and RD
+	// per query.
 	resp []byte
+	// h is the key's hash, the one its chain is filed under.
+	h uint32
+	// chain is 1 + the next slot in the same hash chain (0: none).
+	chain int32
 	// expires is the absolute expiry (Unix nanos on the injected
 	// clock).
 	expires int64
@@ -44,57 +59,78 @@ type negEntry struct {
 
 // init sizes the cache. size <= 0 disables it.
 func (c *negCache) init(size int) {
-	c.cap = size
-	if size > 0 {
-		c.m = make(map[string]negEntry, size)
-		c.ring = make([]string, size)
-	}
-}
-
-// get returns a cached response for the question key when it is still
-// live under the TTL clock and the shard generation matches.
-func (c *negCache) get(key []byte, gen uint64, now time.Time) []byte {
-	if c.cap <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	e, ok := c.m[string(key)] // no-copy map lookup
-	c.mu.Unlock()
-	if !ok || e.gen != gen || now.UnixNano() >= e.expires {
-		return nil
-	}
-	return e.resp
-}
-
-// put caches a packed negative response. The key and response are
-// copied; callers keep ownership of their buffers.
-func (c *negCache) put(key, resp []byte, gen uint64, expires time.Time) {
-	if c.cap <= 0 {
+	if size <= 0 {
 		return
 	}
-	k := string(key)
-	e := negEntry{
-		resp:    append([]byte(nil), resp...),
-		expires: expires.UnixNano(),
-		gen:     gen,
+	c.slots = make([]negSlot, size)
+	n := 1
+	for n < size {
+		n <<= 1
 	}
-	c.mu.Lock()
-	if _, exists := c.m[k]; !exists {
-		// Evict the FIFO slot this insert claims.
-		if old := c.ring[c.next]; old != "" {
-			delete(c.m, old)
-		}
-		c.ring[c.next] = k
-		c.next = (c.next + 1) % c.cap
-	}
-	c.m[k] = e
-	c.mu.Unlock()
+	c.heads = make([]int32, n)
+	c.mask = uint32(n - 1)
 }
 
-// len reports the live entry count (expired entries included until
-// overwritten; the bound is what matters).
-func (c *negCache) len() int {
+// find returns the slot holding key, whose hash is h, or -1. The
+// caller holds mu.
+func (c *negCache) find(key []byte, h uint32) int {
+	for i := c.heads[h&c.mask]; i != 0; i = c.slots[i-1].chain {
+		if s := &c.slots[i-1]; s.h == h && bytes.Equal(s.key, key) {
+			return int(i - 1)
+		}
+	}
+	return -1
+}
+
+// get appends the cached response for the question key to dst when
+// one is still live under the TTL clock and the shard generation
+// matches, and reports whether it did. h is any hash determined by
+// key alone; the same function must feed put. The copy happens under
+// the lock, because put reuses a slot's buffers.
+func (c *negCache) get(dst, key []byte, h uint32, gen uint64, now time.Time) ([]byte, bool) {
+	if len(c.slots) == 0 {
+		return dst, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	i := c.find(key, h)
+	if i < 0 {
+		return dst, false
+	}
+	s := &c.slots[i]
+	if s.gen != gen || now.UnixNano() >= s.expires {
+		return dst, false
+	}
+	return append(dst, s.resp...), true
+}
+
+// put caches a packed negative response under key, whose hash is h.
+// The key and response are copied into the slot's own buffers;
+// callers keep ownership of theirs.
+func (c *negCache) put(key, resp []byte, h uint32, gen uint64, expires time.Time) {
+	if len(c.slots) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := c.find(key, h)
+	if i < 0 {
+		// Claim the FIFO slot, unfiling the key it evicts.
+		i = c.next
+		c.next = (c.next + 1) % len(c.slots)
+		s := &c.slots[i]
+		if len(s.key) > 0 {
+			link := &c.heads[s.h&c.mask]
+			for *link != int32(i+1) {
+				link = &c.slots[*link-1].chain
+			}
+			*link = s.chain
+		}
+		s.key = append(s.key[:0], key...)
+		s.h, s.chain = h, c.heads[h&c.mask]
+		c.heads[h&c.mask] = int32(i + 1)
+	}
+	s := &c.slots[i]
+	s.resp = append(s.resp[:0], resp...)
+	s.expires, s.gen = expires.UnixNano(), gen
 }

@@ -40,6 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -162,11 +163,11 @@ func (z *zone) feedName(i uint16) string {
 	return ""
 }
 
-// find looks a folded name (zone suffix stripped) up in its shard's
-// current snapshot, returning that shard and snapshot with the result.
-// It is the one lookup behind the fast path, the slow path and Lookup.
-func (z *zone) find(name []byte) (*shard, *snapshot, entry, bool) {
-	h := hashName(name)
+// find looks a folded name (zone suffix stripped) whose hashName is h
+// up in its shard's current snapshot, returning that shard and
+// snapshot with the result. It is the one lookup behind the fast
+// path, the slow path and Lookup.
+func (z *zone) find(h uint64, name []byte) (*shard, *snapshot, entry, bool) {
 	sh := z.shards[uint32(h)&z.mask]
 	snap := sh.load()
 	e, ok := snap.get(h, name)
@@ -298,24 +299,52 @@ func (p *Plane) Apply(zoneSuffix string, recs []Record) error {
 	if err != nil {
 		return err
 	}
-	// Fold and hash each name once, then group the batch per shard.
-	batch := make([]pending, 0, len(recs))
-	for _, rec := range recs {
+	// Hash each folded name once and count the records per shard, so
+	// the second pass can place each record straight into its shard's
+	// group, in arrival order within the group.
+	hs := make([]uint64, len(recs))
+	start := make([]int, len(z.shards)+1)
+	for i := range recs {
+		if name := foldName(strings.TrimSuffix(recs[i].Domain, ".")); name != "" {
+			hs[i] = hashName(name)
+			start[uint32(hs[i])&z.mask+1]++
+		}
+	}
+	for si := range z.shards {
+		start[si+1] += start[si]
+	}
+	grouped := make([]pending, start[len(z.shards)])
+	at := slices.Clone(start[:len(z.shards)])
+	var (
+		feed     string
+		fi       uint16
+		resolved bool
+	)
+	for i := range recs {
+		rec := &recs[i]
 		name := foldName(strings.TrimSuffix(rec.Domain, "."))
 		if name == "" {
 			continue
 		}
-		batch = append(batch, pending{
-			name: name,
-			h:    hashName(name),
-			e:    entry{firstUnix: rec.First.Unix(), feed: z.feedIndex(rec.Feed)},
-		})
+		// A batch usually carries one feed throughout: look its index
+		// up once per run of equal feed names, not per record.
+		if !resolved || rec.Feed != feed {
+			feed, fi, resolved = rec.Feed, z.feedIndex(rec.Feed), true
+		}
+		si := uint32(hs[i]) & z.mask
+		grouped[at[si]] = pending{name: name, h: hs[i], e: entry{firstUnix: rec.First.Unix(), feed: fi}}
+		at[si]++
 	}
-	grouped := make([]pending, len(batch))
-	start := groupBy(grouped, batch, 0, z.mask)
+	// One scratch slice, as long as the largest group, serves every
+	// shard in turn.
+	largest := 0
+	for si := range z.shards {
+		largest = max(largest, start[si+1]-start[si])
+	}
+	scratch := make([]pending, largest)
 	for si, sh := range z.shards {
-		// The arrival-order copy is free now; it is the shard's scratch.
-		sh.apply(grouped[start[si]:start[si+1]], batch[start[si]:start[si+1]])
+		group := grouped[start[si]:start[si+1]]
+		sh.apply(group, scratch[:len(group)])
 	}
 	p.Metrics.ReloadBatches.Inc()
 	p.Metrics.ReloadRecords.Add(int64(len(recs)))
@@ -344,7 +373,8 @@ func (p *Plane) Lookup(zoneSuffix, domain string) (listed bool, first time.Time,
 	if err != nil {
 		return false, time.Time{}, "", err
 	}
-	_, _, e, ok := z.find([]byte(foldName(strings.TrimSuffix(domain, "."))))
+	name := []byte(foldName(strings.TrimSuffix(domain, ".")))
+	_, _, e, ok := z.find(hashName(name), name)
 	if !ok {
 		return false, time.Time{}, "", nil
 	}
@@ -465,31 +495,33 @@ func (r *Responder) answer(dst, raw []byte, qEnd int, name []byte) []byte {
 		return appendEcho(dst, raw, qEnd, dnsbl.RCodeNXDomain)
 	}
 	domain := name[:len(name)-len(z.dotSuffix)]
-	sh, snap, e, listed := z.find(domain)
+	h := hashName(domain)
+	sh, snap, e, listed := z.find(h, domain)
 	if !listed {
 		// Negative path: serve and feed the per-shard NXDOMAIN cache,
 		// keyed on the exact wire question so the echoed bytes always
 		// match the client's casing. Cached responses include the SOA
 		// authority record when the zone carries one, so a cache hit is
-		// byte-identical to a cold build.
-		key := raw[12:qEnd]
+		// byte-identical to a cold build. The folded name's hash is a
+		// function of the key, so it files the key without hashing it
+		// again; its high half, as the shard's own bits are the low.
+		key, kh := raw[12:qEnd], uint32(h>>32)
 		now := p.clock()
-		if cached := sh.neg.get(key, snap.gen, now); cached != nil {
+		n := len(dst)
+		if cached, ok := sh.neg.get(dst, key, kh, snap.gen, now); ok {
 			p.Metrics.NegHits.Inc()
-			n := len(dst)
-			dst = append(dst, cached...)
+			dst = cached
 			dst[n], dst[n+1] = raw[0], raw[1] // patch ID
 			// Patch RD through from this query.
 			dst[n+2] = dst[n+2]&^0x01 | raw[2]&0x01
 			return dst
 		}
-		n := len(dst)
 		dst = appendEcho(dst, raw, qEnd, dnsbl.RCodeNXDomain)
 		if z.soaRR != nil {
 			dst = append(dst, z.soaRR...)
 			dst[n+9] = 1 // NSCOUNT=1
 		}
-		sh.neg.put(key, dst[n:], snap.gen, now.Add(z.negTTL))
+		sh.neg.put(key, dst[n:], kh, snap.gen, now.Add(z.negTTL))
 		return dst
 	}
 	p.Metrics.Hits.Inc()

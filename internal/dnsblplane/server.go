@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +63,7 @@ type Server struct {
 	Clock overload.Clock
 
 	mu       sync.Mutex
-	conn     net.PacketConn
+	conn     *net.UDPConn
 	closed   bool
 	draining bool
 	// queues is the sharded intake: one bounded queue per worker,
@@ -73,7 +74,6 @@ type Server struct {
 	// depth mirrors queues: the per-shard queue-depth gauge, updated at
 	// the enqueue and dequeue points of the serving loop.
 	depth []*obs.Gauge
-	pool  sync.Pool
 	// serving counts live readers, workers and the queue closer, so
 	// Shutdown can wait for in-flight datagrams to be answered.
 	serving sync.WaitGroup
@@ -85,13 +85,24 @@ type Server struct {
 	qpsCount atomic.Int64
 }
 
-// packet is one pending datagram; buf comes from the server's pool and
+// packet is one pending datagram; buf comes from datagramPool and
 // returns to it after the response is written.
 type packet struct {
 	buf  *[]byte
 	n    int
-	from net.Addr
+	from netip.AddrPort
 }
+
+// datagramPool recycles every Server's receive buffers. It is one
+// package-level pool, not a Server field: the runtime's pool list
+// holds every pool used since the last collection and keeps it through
+// the next one, so a pool inside a Server would keep the Server, its
+// Plane and every snapshot alive through the first collection after
+// Shutdown.
+var datagramPool = sync.Pool{New: func() any {
+	b := make([]byte, 4096)
+	return &b
+}}
 
 func (s *Server) numReaders() int {
 	if s.Readers > 0 {
@@ -128,10 +139,11 @@ func (s *Server) clock() overload.Clock {
 	return overload.WallClock
 }
 
-// classify returns the priority class of a raw query.
-func (s *Server) classify(raw []byte, from net.Addr) overload.Priority {
+// classify returns the priority class of a raw query. Only a custom
+// Classify gets the sender as a net.Addr, which allocates.
+func (s *Server) classify(raw []byte, from netip.AddrPort) overload.Priority {
 	if s.Classify != nil {
-		return s.Classify(raw, from)
+		return s.Classify(raw, net.UDPAddrFromAddrPort(from))
 	}
 	if qtypeOf(raw) == dnsbl.TypeTXT {
 		// TXT lookups fetch listing reasons — oracle traffic, not the
@@ -167,10 +179,13 @@ func qtypeOf(raw []byte) uint16 {
 // Listen binds a UDP socket ("127.0.0.1:0" for tests) and serves in
 // background goroutines, returning the bound address.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	conn, err := net.ListenPacket("udp", addr)
+	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		return nil, err
 	}
+	// A "udp" listener is always a *net.UDPConn, whose AddrPort reads
+	// and writes allocate no net.Addr per datagram.
+	conn := pc.(*net.UDPConn)
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
@@ -192,10 +207,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		if s.Plane != nil && s.Plane.Metrics.QueueDepth != nil {
 			s.depth[i] = s.Plane.Metrics.QueueDepth(i)
 		}
-	}
-	s.pool.New = func() any {
-		b := make([]byte, 4096)
-		return &b
 	}
 	for i := 0; i < nw; i++ {
 		s.serving.Add(1)
@@ -221,14 +232,14 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 }
 
 // reader is the socket intake loop: read, admit or shed, enqueue.
-func (s *Server) reader(conn net.PacketConn) {
+func (s *Server) reader(conn *net.UDPConn) {
 	defer s.serving.Done()
 	defer s.readers.Done()
 	for {
-		bp := s.pool.Get().(*[]byte)
-		n, from, err := conn.ReadFrom(*bp)
+		bp := datagramPool.Get().(*[]byte)
+		n, from, err := conn.ReadFromUDPAddrPort(*bp)
 		if err != nil {
-			s.pool.Put(bp)
+			datagramPool.Put(bp)
 			return
 		}
 		raw := (*bp)[:n]
@@ -241,10 +252,10 @@ func (s *Server) reader(conn net.PacketConn) {
 		// of queue space.
 		if len(q) >= p.Share(cap(q)) {
 			s.shed(conn, raw, from, overload.ShedCapacity)
-			s.pool.Put(bp)
+			datagramPool.Put(bp)
 		} else if s.Admission != nil && !s.Admission.Allow(p, clientKey(from)) {
 			s.shed(conn, raw, from, overload.ShedRate)
-			s.pool.Put(bp)
+			datagramPool.Put(bp)
 		} else {
 			select {
 			case q <- packet{buf: bp, n: n, from: from}:
@@ -252,7 +263,7 @@ func (s *Server) reader(conn net.PacketConn) {
 			default:
 				// Lost the race for the last slot.
 				s.shed(conn, raw, from, overload.ShedCapacity)
-				s.pool.Put(bp)
+				datagramPool.Put(bp)
 			}
 		}
 		if s.isStopping() {
@@ -262,10 +273,10 @@ func (s *Server) reader(conn net.PacketConn) {
 }
 
 // shed answers a refused datagram with its header-only refusal.
-func (s *Server) shed(conn net.PacketConn, raw []byte, from net.Addr, reason overload.ShedReason) {
+func (s *Server) shed(conn *net.UDPConn, raw []byte, from netip.AddrPort, reason overload.ShedReason) {
 	s.Plane.Metrics.Shed.Inc()
 	if resp := shedReply(raw, shedRCode(reason)); resp != nil {
-		conn.WriteTo(resp, from) //nolint:errcheck // best-effort UDP reply
+		conn.WriteToUDPAddrPort(resp, from) //nolint:errcheck // best-effort UDP reply
 	}
 }
 
@@ -300,7 +311,7 @@ func shedRCode(r overload.ShedReason) uint8 {
 // worker drains its own queue shard in bursts and answers each
 // datagram with a worker-owned Responder and response buffer, so the
 // steady state allocates nothing per query.
-func (s *Server) worker(conn net.PacketConn, shard int) {
+func (s *Server) worker(conn *net.UDPConn, shard int) {
 	defer s.serving.Done()
 	q, g := s.queues[shard], s.depth[shard]
 	r := NewResponder(s.Plane)
@@ -319,9 +330,9 @@ func (s *Server) worker(conn net.PacketConn, shard int) {
 		for _, it := range batch {
 			out = r.Respond(out[:0], (*it.buf)[:it.n])
 			if out != nil {
-				conn.WriteTo(out, it.from) //nolint:errcheck // best-effort UDP reply
+				conn.WriteToUDPAddrPort(out, it.from) //nolint:errcheck // best-effort UDP reply
 			}
-			s.pool.Put(it.buf)
+			datagramPool.Put(it.buf)
 		}
 	}
 }
@@ -344,22 +355,22 @@ func drain(batch []packet, q chan packet) []packet {
 }
 
 // shardIndex maps a client address onto a queue shard: FNV-1a over the
-// peer IP, so a client sticks to one shard (and a flooding client
-// backs up only that shard).
-func (s *Server) shardIndex(from net.Addr) int {
+// peer IP's 4 bytes on an IPv4 socket or 16 on an IPv6 one, so a
+// client sticks to one shard (and a flooding client backs up only
+// that shard).
+func (s *Server) shardIndex(from netip.AddrPort) int {
 	n := len(s.queues)
 	if n <= 1 {
 		return 0
 	}
 	h := uint32(2166136261)
-	if a, ok := from.(*net.UDPAddr); ok {
-		for _, b := range a.IP {
+	if ip := from.Addr(); ip.Is4() {
+		for _, b := range ip.As4() {
 			h = (h ^ uint32(b)) * 16777619
 		}
 	} else {
-		str := from.String()
-		for i := 0; i < len(str); i++ {
-			h = (h ^ uint32(str[i])) * 16777619
+		for _, b := range ip.As16() {
+			h = (h ^ uint32(b)) * 16777619
 		}
 	}
 	return int(h % uint32(n))
@@ -443,13 +454,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // clientKey is the fairness identity of a peer: its IP, so one host
-// opening many sockets still lands in one bucket.
-func clientKey(addr net.Addr) string {
-	if a, ok := addr.(*net.UDPAddr); ok {
-		return a.IP.String()
-	}
-	if host, _, err := net.SplitHostPort(addr.String()); err == nil {
-		return host
-	}
-	return addr.String()
+// opening many sockets still lands in one bucket. It reads as
+// net.IP.String would: no zone, and an IPv4-mapped address dotted.
+func clientKey(addr netip.AddrPort) string {
+	return addr.Addr().WithZone("").Unmap().String()
 }

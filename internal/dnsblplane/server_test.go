@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"net/netip"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +15,9 @@ import (
 	"tasterschoice/internal/obs"
 	"tasterschoice/internal/overload"
 )
+
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
 
 // queryServer sends one query over UDP and returns the response (nil
 // on timeout).
@@ -113,6 +117,90 @@ func TestServerShutdownDrains(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close after shutdown: %v", err)
+	}
+}
+
+// TestServerReleasesPlaneOnShutdown: once a shut-down server is
+// dropped, the first collection frees its plane. The runtime keeps
+// every sync.Pool it has seen in use until the second collection after
+// that, so a pool held inside the Server kept the Server, its Plane
+// and every snapshot alive through one more collection.
+func TestServerReleasesPlaneOnShutdown(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		p := newTestPlane(t, "dbl.test", testFeed("dbl", 2), 0)
+		runtime.SetFinalizer(p, func(*Plane) { close(freed) })
+		srv := &Server{Plane: p}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := queryServer(t, addr, appendQuery(nil, 1, "spam00.example", "dbl.test", 1), 2*time.Second); got == nil {
+			t.Fatal("no answer before shutdown")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	}()
+	runtime.GC()
+	deadline := time.NewTimer(2 * time.Second)
+	defer deadline.Stop()
+	select {
+	case <-freed:
+	case <-deadline.C:
+		t.Fatal("the plane outlived the first collection after its server shut down")
+	}
+}
+
+// TestServeLoopAllocs: once warm, the serving loop allocates nothing
+// per datagram. The reader and the workers carry the sender as a
+// netip.AddrPort, not a net.Addr, and the buffers cycle through the
+// pool. The race detector makes sync.Pool drop buffers at random, so
+// the count is only meaningful without it.
+func TestServeLoopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	p := newTestPlane(t, "dbl.test", testFeed("dbl", 4), 0)
+	srv := &Server{Plane: p, Workers: 2}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialUDP("udp", nil, addr.(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(overload.WallClock().Add(10 * time.Second)) //nolint:errcheck
+	qs := [][]byte{
+		appendQuery(nil, 1, "spam00.example", "dbl.test", 1),
+		appendQuery(nil, 2, "spam01.example", "dbl.test", 16),
+		appendQuery(nil, 3, "missing.example", "dbl.test", 1),
+	}
+	buf := make([]byte, 4096)
+	ask := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := conn.Write(qs[i%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Read(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ask(300)
+	const n = 3000
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	ask(n)
+	runtime.ReadMemStats(&ms)
+	if per := float64(ms.Mallocs-before) / n; per >= 0.05 {
+		t.Fatalf("the serving loop makes %.2f mallocs per query once warm, want under 0.05", per)
 	}
 }
 
@@ -271,10 +359,10 @@ func TestQtypeOf(t *testing.T) {
 
 func TestDefaultClassify(t *testing.T) {
 	var s Server
-	if s.classify(appendQuery(nil, 1, "x", "dbl.example", dnsbl.TypeTXT), nil) != overload.Normal {
+	if s.classify(appendQuery(nil, 1, "x", "dbl.example", dnsbl.TypeTXT), netip.AddrPort{}) != overload.Normal {
 		t.Fatal("TXT should classify Normal")
 	}
-	if s.classify(appendQuery(nil, 1, "x", "dbl.example", dnsbl.TypeA), nil) != overload.Bulk {
+	if s.classify(appendQuery(nil, 1, "x", "dbl.example", dnsbl.TypeA), netip.AddrPort{}) != overload.Bulk {
 		t.Fatal("A should classify Bulk")
 	}
 }

@@ -42,9 +42,11 @@ type snapshot struct {
 	gen uint64
 }
 
-// bucket is one bucket's hash table: linear probing over a
-// power-of-two array of slots at most half full, so every probe ends
-// at a free slot within a few steps. Unlike a Go map, copying a bucket
+// bucket is one bucket's hash table: linear probing over an array of
+// slots sized to its names. A bucket is built at most 2/3 full
+// (bucketSize) and a delta fills it to at most 3/4 before it is
+// rebuilt, so every probe ends at a free slot within a few steps and a
+// listed name costs about 1.5 slots. Unlike a Go map, copying a bucket
 // copies one array and reads no name, and a lookup reaches the slots
 // straight from the snapshot, without a map's header, directory and
 // table in between; once deltas have replaced most buckets that
@@ -68,13 +70,12 @@ type slot struct {
 // get looks up a folded name whose hashName is h.
 func (s *snapshot) get(h uint64, name []byte) (entry, bool) {
 	b := s.buckets[uint32(h>>32)&uint32(len(s.buckets)-1)]
+	if len(b) == 0 {
+		return entry{}, false
+	}
 	tag := uint32(h)
-	for i := b.start(tag); len(b) > 0; i = (i + 1) & uint32(len(b)-1) {
-		sl := &b[i]
-		if sl.name == "" {
-			break
-		}
-		if sl.tag == tag && sl.name == string(name) {
+	for i := b.start(tag); b[i].name != ""; i = b.next(i) {
+		if sl := &b[i]; sl.tag == tag && sl.name == string(name) {
 			return entry{firstUnix: sl.firstUnix, feed: sl.feed}, true
 		}
 	}
@@ -83,9 +84,20 @@ func (s *snapshot) get(h uint64, name []byte) (entry, bool) {
 
 // start is the slot a probe for tag begins at. The tag's low bits are
 // the shard index, the same for every name in the bucket, so a
-// Fibonacci multiply mixes all its bits first.
+// Fibonacci multiply mixes all its bits first; a multiply-shift then
+// maps the mixed 32 bits onto the bucket's length, which need not be a
+// power of two.
 func (b bucket) start(tag uint32) uint32 {
-	return uint32(uint64(tag)*0x9E3779B97F4A7C15>>32) & uint32(len(b)-1)
+	mixed := uint64(tag) * 0x9E3779B97F4A7C15 >> 32
+	return uint32(mixed * uint64(len(b)) >> 32)
+}
+
+// next is the slot a probe visits after slot i, wrapping at the end.
+func (b bucket) next(i uint32) uint32 {
+	if i++; i == uint32(len(b)) {
+		return 0
+	}
+	return i
 }
 
 // put lists a name in a bucket that is not yet published and has a
@@ -93,7 +105,7 @@ func (b bucket) start(tag uint32) uint32 {
 // already there (on a tie, the one already there). It reports whether
 // the name is new.
 func (b bucket) put(name string, tag uint32, e entry) bool {
-	for i := b.start(tag); ; i = (i + 1) & uint32(len(b)-1) {
+	for i := b.start(tag); ; i = b.next(i) {
 		sl := &b[i]
 		switch {
 		case sl.name == "":
@@ -119,14 +131,10 @@ func (b bucket) names() int {
 	return n
 }
 
-// bucketSize is the slot count for a bucket of n names: the smallest
-// power of two at least 2n.
+// bucketSize is the slot count a bucket of n names is built with: the
+// smallest that keeps it at most 2/3 full and leaves a slot free.
 func bucketSize(n int) int {
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	return size
+	return n + n/2 + 1
 }
 
 // shard is one slice of a zone's index: an RCU-style atomically
@@ -210,7 +218,7 @@ func (sh *shard) apply(batch, scratch []pending) {
 		base, n = make([]bucket, nb), 0
 	}
 	// Build bucket by bucket, each new bucket sized from its count.
-	start := groupBy(scratch, batch, 32, uint32(nb-1))
+	start := groupBy(scratch, batch, uint32(nb-1))
 	next := &snapshot{buckets: make([]bucket, nb), gen: old.gen + 1}
 	copy(next.buckets, base)
 	for b := range next.buckets {
@@ -218,14 +226,14 @@ func (sh *shard) apply(batch, scratch []pending) {
 		if len(run) == 0 {
 			continue
 		}
-		// Copy the bucket, or re-place its names in a bigger one when
-		// the run could fill it past half.
+		// Copy the bucket while the run cannot fill it past 3/4, else
+		// re-place its names in one sized at the 2/3 rule.
 		prev := base[b]
 		var m bucket
-		if size := bucketSize(prev.names() + len(run)); size == len(prev) {
+		if count := prev.names() + len(run); 4*count <= 3*len(prev) {
 			m = slices.Clone(prev)
 		} else {
-			m = make(bucket, size)
+			m = make(bucket, bucketSize(count))
 			for _, sl := range prev {
 				if sl.name != "" {
 					m.put(sl.name, sl.tag, entry{firstUnix: sl.firstUnix, feed: sl.feed})
@@ -244,13 +252,13 @@ func (sh *shard) apply(batch, scratch []pending) {
 }
 
 // groupBy copies src into dst, which must be as long, grouped by each
-// record's key uint32(h>>shift)&mask and in arrival order within a
+// record's bucket uint32(h>>32)&mask and in arrival order within a
 // group (a counting sort). It returns the groups' bounds: group g is
 // dst[start[g]:start[g+1]].
-func groupBy(dst, src []pending, shift uint, mask uint32) (start []int) {
+func groupBy(dst, src []pending, mask uint32) (start []int) {
 	start = make([]int, mask+2)
 	for i := range src {
-		start[uint32(src[i].h>>shift)&mask+1]++
+		start[uint32(src[i].h>>32)&mask+1]++
 	}
 	for g := 1; g < len(start); g++ {
 		start[g] += start[g-1]
@@ -258,7 +266,7 @@ func groupBy(dst, src []pending, shift uint, mask uint32) (start []int) {
 	// Place each record at its group's cursor; afterwards start[g]
 	// holds the end of group g, which shifts back into place.
 	for i := range src {
-		g := uint32(src[i].h>>shift) & mask
+		g := uint32(src[i].h>>32) & mask
 		dst[start[g]] = src[i]
 		start[g]++
 	}
