@@ -129,20 +129,46 @@ func TestReproductionGate(t *testing.T) {
 // (paper-scale) scenario with seed 2010, the run the README documents.
 const defaultReport2010 = "7b165e4bc003f82072897548b7ed0a8c70c160aef9a95cd501cf3b883596e082"
 
-// defaultReports pins the full default-scale report's SHA-256 for
-// three seeds.
+// defaultReports pins, for three seeds, the SHA-256 of the full
+// default-scale report and of the CSV files WriteCSVDir writes (see
+// csvDirDigest).
 var defaultReports = []struct {
 	seed   uint64
 	digest string
+	csv    string
 }{
-	{1, "136191e27096389f582eea0edd798b8ff49d3fffd6fef0776f13d108af8966a6"},
-	{2, "31e1d4ec620b3ef1f34c976120779b9df23d23c620f597ec6f609ca1732b523b"},
-	{2010, defaultReport2010},
+	{1, "136191e27096389f582eea0edd798b8ff49d3fffd6fef0776f13d108af8966a6",
+		"36467c3ca8b30e7bd672eb9192ff4d66b6b317d3c4451ed22352b47239119f57"},
+	{2, "31e1d4ec620b3ef1f34c976120779b9df23d23c620f597ec6f609ca1732b523b",
+		"2fde3b83abc58ba118d457ef735f5ee1d6741d32ea45fcfd4adb608e87d5fd94"},
+	{2010, defaultReport2010,
+		"dcc50146a12eadbb5b742935e44e0eab5a8b7eb1eee2c1ea80b0e5baf83e2898"},
 }
 
-// TestDefaultReportDigest pins the paper-scale report byte for byte:
-// a change to generation, collection, labeling, the analyses or the
-// renderers that moves any report byte at the default scale fails it.
+// csvDirDigest hashes every file in dir in name order: the file's name
+// and length on one line, then its bytes.
+func csvDirDigest(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(b))
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDefaultReportDigest pins the paper-scale report and CSV export
+// byte for byte: a change to generation, collection, labeling, the
+// analyses or the renderers that moves any report or CSV byte at the
+// default scale fails it.
 func TestDefaultReportDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale pipeline runs; skipped with -short")
@@ -153,12 +179,20 @@ func TestDefaultReportDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			study := core.NewStudy(ds)
 			h := sha256.New()
-			if err := core.NewStudy(ds).WriteReport(h); err != nil {
+			if err := study.WriteReport(h); err != nil {
 				t.Fatal(err)
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
-				t.Fatalf("default-scale report digest = %s, want %s", got, tc.digest)
+				t.Errorf("default-scale report digest = %s, want %s", got, tc.digest)
+			}
+			dir := t.TempDir()
+			if err := study.WriteCSVDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if got := csvDirDigest(t, dir); got != tc.csv {
+				t.Errorf("default-scale CSV digest = %s, want %s", got, tc.csv)
 			}
 		})
 	}
