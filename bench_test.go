@@ -1,16 +1,13 @@
 package tasterschoice
 
-// These go test benchmarks regenerate every table and figure in the
-// paper's evaluation (Tables 1-3, Figures 1-12) from one warm
-// default-scale dataset, and measure the ablations called out in
-// DESIGN.md. Run with -v to also print each reproduced table/figure
-// once. They are for profiling one step in isolation; the repo's
-// end-to-end benchmark, which times cold runs, is perfbench/ (see
-// perfbench/README.md).
+// These go test benchmarks time the pipeline's stages over warm
+// inputs and measure the ablations called out in DESIGN.md. The
+// per-figure benchmarks are BenchmarkFigures in internal/core, one
+// sub-benchmark per entry of the figure table. They are for profiling
+// one step in isolation; the repo's end-to-end benchmark, which times
+// cold runs, is perfbench/ (see perfbench/README.md).
 
 import (
-	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -18,7 +15,6 @@ import (
 	"tasterschoice/internal/core"
 	"tasterschoice/internal/ecosystem"
 	"tasterschoice/internal/mailflow"
-	"tasterschoice/internal/report"
 	"tasterschoice/internal/simulate"
 )
 
@@ -34,193 +30,6 @@ func benchDataset(b *testing.B) *analysis.Dataset {
 		benchDS = simulate.Default(2010).MustRun()
 	})
 	return benchDS
-}
-
-var printedSections sync.Map
-
-// emit prints a reproduced section once per binary when -v is set.
-func emit(b *testing.B, title, body string) {
-	b.Helper()
-	if !testing.Verbose() {
-		return
-	}
-	if _, dup := printedSections.LoadOrStore(title, true); dup {
-		return
-	}
-	fmt.Fprintf(os.Stdout, "== %s ==\n%s\n", title, body)
-}
-
-func BenchmarkTable1FeedSummary(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var rows []analysis.FeedSummary
-	for i := 0; i < b.N; i++ {
-		rows = analysis.Table1(ds)
-	}
-	b.StopTimer()
-	emit(b, "Table 1", report.FeedSummaryTable(rows))
-}
-
-func BenchmarkTable2Purity(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var rows []analysis.PurityRow
-	for i := 0; i < b.N; i++ {
-		rows = analysis.Purity(ds)
-	}
-	b.StopTimer()
-	emit(b, "Table 2", report.PurityTable(rows))
-}
-
-func BenchmarkTable3Coverage(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var all, live, tagged []analysis.CoverageRow
-	for i := 0; i < b.N; i++ {
-		all = analysis.Coverage(ds, analysis.ClassAll)
-		live = analysis.Coverage(ds, analysis.ClassLive)
-		tagged = analysis.Coverage(ds, analysis.ClassTagged)
-	}
-	b.StopTimer()
-	emit(b, "Table 3", report.CoverageTable(all, live, tagged))
-}
-
-func BenchmarkFigure1DistinctVsExclusive(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var live, tagged []analysis.CoverageRow
-	for i := 0; i < b.N; i++ {
-		live = analysis.Coverage(ds, analysis.ClassLive)
-		tagged = analysis.Coverage(ds, analysis.ClassTagged)
-	}
-	b.StopTimer()
-	emit(b, "Figure 1 (live)", report.ExclusiveScatter(live))
-	emit(b, "Figure 1 (tagged)", report.ExclusiveScatter(tagged))
-}
-
-func BenchmarkFigure2PairwiseIntersection(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var live, tagged *analysis.Matrix
-	for i := 0; i < b.N; i++ {
-		live = analysis.Intersections(ds, analysis.ClassLive)
-		tagged = analysis.Intersections(ds, analysis.ClassTagged)
-	}
-	b.StopTimer()
-	emit(b, "Figure 2 (live)", report.MatrixTable(live))
-	emit(b, "Figure 2 (tagged)", report.MatrixTable(tagged))
-}
-
-func BenchmarkFigure3VolumeCoverage(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var rows []analysis.VolumeRow
-	for i := 0; i < b.N; i++ {
-		rows = analysis.VolumeCoverage(ds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 3", report.VolumeBars(rows))
-}
-
-func BenchmarkFigure4ProgramCoverage(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var m *analysis.Matrix
-	for i := 0; i < b.N; i++ {
-		m = analysis.ProgramCoverage(ds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 4", report.MatrixTable(m))
-}
-
-func BenchmarkFigure5AffiliateCoverage(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var m *analysis.Matrix
-	for i := 0; i < b.N; i++ {
-		m = analysis.AffiliateCoverage(ds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 5", report.MatrixTable(m))
-}
-
-func BenchmarkFigure6RevenueCoverage(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var rows []analysis.RevenueRow
-	var total float64
-	for i := 0; i < b.N; i++ {
-		rows, total = analysis.RevenueCoverage(ds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 6", report.RevenueBars(rows, total))
-}
-
-func BenchmarkFigure7VariationDistance(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var p *analysis.PairwiseDist
-	for i := 0; i < b.N; i++ {
-		p = analysis.VariationDistances(ds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 7", report.PairwiseTable(p))
-}
-
-func BenchmarkFigure8KendallTau(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var p *analysis.PairwiseDist
-	for i := 0; i < b.N; i++ {
-		p = analysis.KendallTaus(ds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 8", report.PairwiseTable(p))
-}
-
-func BenchmarkFigure9FirstAppearance(b *testing.B) {
-	ds := benchDataset(b)
-	names := analysis.Fig9Feeds(ds)
-	b.ResetTimer()
-	var rows []analysis.TimingRow
-	for i := 0; i < b.N; i++ {
-		rows = analysis.FirstAppearance(ds, names)
-	}
-	b.StopTimer()
-	emit(b, "Figure 9", report.TimingTable(rows))
-}
-
-func BenchmarkFigure10FirstAppearanceHoneypot(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var rows []analysis.TimingRow
-	for i := 0; i < b.N; i++ {
-		rows = analysis.FirstAppearance(ds, analysis.HoneypotFeeds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 10", report.TimingTable(rows))
-}
-
-func BenchmarkFigure11LastAppearance(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var rows []analysis.TimingRow
-	for i := 0; i < b.N; i++ {
-		rows = analysis.LastAppearance(ds, analysis.HoneypotFeeds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 11", report.TimingTable(rows))
-}
-
-func BenchmarkFigure12Duration(b *testing.B) {
-	ds := benchDataset(b)
-	b.ResetTimer()
-	var rows []analysis.TimingRow
-	for i := 0; i < b.N; i++ {
-		rows = analysis.Duration(ds, analysis.HoneypotFeeds)
-	}
-	b.StopTimer()
-	emit(b, "Figure 12", report.TimingTable(rows))
 }
 
 // BenchmarkPipelineEndToEnd measures the entire reproduction: world
@@ -244,12 +53,13 @@ func BenchmarkCollectionEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkFullReport measures rendering every table and figure.
+// BenchmarkFullReport measures computing and rendering every table and
+// figure. A Study renders once, so each iteration takes a new one.
 func BenchmarkFullReport(b *testing.B) {
-	study := core.NewStudy(benchDataset(b))
+	ds := benchDataset(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := study.WriteReport(discard{}); err != nil {
+		if err := core.NewStudy(ds).WriteReport(discard{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -329,9 +139,7 @@ func BenchmarkAblationPoisoning(b *testing.B) {
 // the Hu/dbl early-warning advantage disappears.
 func BenchmarkAblationStealthLead(b *testing.B) {
 	metric := func(ds *analysis.Dataset) (float64, string) {
-		rows := analysis.FirstAppearance(ds,
-			[]string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"})
-		for _, r := range rows {
+		for _, r := range analysis.FirstAppearance(ds, analysis.OnsetFeeds) {
 			if r.Name == "mx1" {
 				return r.Summary.Median, "mx1-median-hours"
 			}
@@ -373,9 +181,7 @@ func BenchmarkAblationMegaCampaigns(b *testing.B) {
 // responds to a week of listing delay.
 func BenchmarkAblationBlacklistLatency(b *testing.B) {
 	metric := func(ds *analysis.Dataset) (float64, string) {
-		rows := analysis.FirstAppearance(ds,
-			[]string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"})
-		for _, r := range rows {
+		for _, r := range analysis.FirstAppearance(ds, analysis.OnsetFeeds) {
 			if r.Name == "dbl" {
 				return r.Summary.Median, "dbl-median-hours"
 			}

@@ -37,19 +37,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "blacklist-latency: %v\n", err)
 			os.Exit(1)
 		}
-		// Tagged-domain coverage of the modified dbl.
-		tagged := analysis.Coverage(ds, analysis.ClassTagged)
-		var dblTotal, union int
-		seen := map[string]bool{}
-		for _, r := range tagged {
-			if r.Name == "dbl" {
-				dblTotal = r.Total
-			}
-			for d := range analysis.FeedDomains(ds, r.Name, analysis.ClassTagged) {
-				if !seen[d] {
-					seen[d] = true
-					union++
-				}
+		// Tagged-domain coverage of the modified dbl, over the union of
+		// every feed's tagged domains (Figure 2's tagged matrix).
+		tagged := analysis.Intersections(ds, analysis.ClassTagged)
+		var dblTotal int
+		for i, name := range tagged.Names {
+			if name == "dbl" {
+				dblTotal = tagged.SetSizes[i]
 			}
 		}
 		// First-appearance latency vs the faster feeds.
@@ -65,7 +59,7 @@ func main() {
 			sw.name,
 			fmt.Sprintf("%.0fh", sw.latencyHours),
 			fmt.Sprintf("%.0f%%", sw.loudProb*100),
-			fmt.Sprintf("%.0f%%", 100*float64(dblTotal)/float64(union)),
+			fmt.Sprintf("%.0f%%", 100*float64(dblTotal)/float64(tagged.UnionSize)),
 			fmt.Sprintf("%.1fh", median),
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"tasterschoice/internal/analysis"
 	"tasterschoice/internal/core"
 	"tasterschoice/internal/report"
 	"tasterschoice/internal/simulate"
@@ -23,14 +24,13 @@ func main() {
 
 	fmt.Println("Ten spam feeds, one synthetic ecosystem, three months:")
 	fmt.Println()
-	fmt.Println(report.FeedSummaryTable(study.Table1()))
+	fmt.Println(report.FeedSummaryTable(analysis.Table1(ds)))
 
 	// The paper's central surprise: the smallest feed by volume has
 	// the greatest coverage.
-	_, _, tagged := study.Table3()
 	var hu, best int
 	var bestName string
-	for _, r := range tagged {
+	for _, r := range analysis.Coverage(ds, analysis.ClassTagged) {
 		if r.Name == "Hu" {
 			hu = r.Total
 		} else if r.Total > best {

@@ -400,9 +400,9 @@ func TestTimingRows(t *testing.T) {
 func TestTimingShape(t *testing.T) {
 	ds := testDataset(t)
 	// At test scale the full nine-feed intersection is only a handful
-	// of domains; use a smaller feed set for a statistically
-	// meaningful comparison of the same effect.
-	rows := FirstAppearance(ds, []string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"})
+	// of domains; OnsetFeeds gives a statistically meaningful
+	// comparison of the same effect.
+	rows := FirstAppearance(ds, OnsetFeeds)
 	byName := map[string]TimingRow{}
 	for _, r := range rows {
 		byName[r.Name] = r
@@ -478,43 +478,6 @@ func TestGreedySelectionAllClasses(t *testing.T) {
 		steps := GreedySelection(ds, class)
 		if len(steps) != 10 {
 			t.Fatalf("class %v: %d steps", class, len(steps))
-		}
-	}
-}
-
-func TestTakedownPrecision(t *testing.T) {
-	ds := testDataset(t)
-	rows := TakedownPrecision(ds, 10)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want the six volume feeds", len(rows))
-	}
-	byName := map[string]TakedownRow{}
-	for _, r := range rows {
-		if r.Precision < 0 || r.Precision > 1 {
-			t.Errorf("feed %s precision %g", r.Name, r.Precision)
-		}
-		if r.Hits > r.K {
-			t.Errorf("feed %s hits %d > k %d", r.Name, r.Hits, r.K)
-		}
-		byName[r.Name] = r
-	}
-	// The evenly exposed mx2 should prioritize at least as well as the
-	// poorly seeded Ac2.
-	if byName["mx2"].Hits < byName["Ac2"].Hits {
-		t.Errorf("mx2 hits %d < Ac2 hits %d", byName["mx2"].Hits, byName["Ac2"].Hits)
-	}
-}
-
-func TestTopDomains(t *testing.T) {
-	ds := testDataset(t)
-	top := TopDomains(ds, "mx2", 5)
-	if len(top) == 0 || len(top) > 5 {
-		t.Fatalf("top = %v", top)
-	}
-	dist := feedTaggedDist(ds, "mx2")
-	for i := 1; i < len(top); i++ {
-		if dist[string(top[i-1])] < dist[string(top[i])] {
-			t.Fatalf("top domains not descending at %d", i)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"tasterschoice/internal/parallel"
 	"tasterschoice/internal/stats"
-	"tasterschoice/internal/symtab"
 )
 
 // DomainClass selects which domain definition an analysis runs over.
@@ -45,18 +44,6 @@ func (c DomainClass) member(l *Label) bool {
 	default:
 		return true
 	}
-}
-
-// FeedDomains returns the feed's domains restricted to the class, as a
-// set of plain strings.
-func FeedDomains(ds *Dataset, name string, class DomainClass) map[string]bool {
-	out := make(map[string]bool)
-	ds.Feed(name).EachIDUnordered(func(d symtab.ID, _ int64) {
-		if class.member(ds.Labels.Get(d)) {
-			out[ds.name(d)] = true
-		}
-	})
-	return out
 }
 
 // CoverageRow is one feed's slice of Table 3: distinct and exclusive

@@ -25,8 +25,9 @@ func labelOf(ds *Dataset, d domain.Name) *Label {
 	return ds.Labels.Get(id)
 }
 
-// feedDomainsSerial is FeedDomains via the sorted Each walk, kept as
-// the reference set builder.
+// feedDomainsSerial returns the feed's domains restricted to the class,
+// as a set of plain strings built by the sorted Each walk: the
+// reference set builder.
 func feedDomainsSerial(ds *Dataset, name string, class DomainClass) map[string]bool {
 	out := make(map[string]bool)
 	ds.Feed(name).Each(func(d domain.Name, _ feeds.DomainStat) {

@@ -32,6 +32,12 @@ func Fig9Feeds(ds *Dataset) []string {
 // whose last-appearance actually tracks when a spammer stopped sending.
 var HoneypotFeeds = []string{"mx1", "mx2", "mx3", "Ac1", "Ac2"}
 
+// OnsetFeeds are the feeds the headline onset metrics compare first
+// appearance over: a subset with large common support, since the
+// intersection of all nine Figure 9 feeds can be tiny in reduced
+// scenarios.
+var OnsetFeeds = []string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"}
+
 // timingDomains returns the tagged domains present in every one of the
 // given feeds ("the intersection of the feeds"), in unspecified order:
 // each timing figure summarizes the sorted deltas.

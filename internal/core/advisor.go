@@ -58,30 +58,19 @@ func (s *Study) Recommend(q Question) []Ranked {
 	var ranked []Ranked
 	switch q {
 	case QCoverage:
-		tagged := analysis.Coverage(s.DS, analysis.ClassTagged)
-		union := 0
-		seen := map[string]bool{}
-		for _, name := range s.DS.Result.Order {
-			for d := range analysis.FeedDomains(s.DS, name, analysis.ClassTagged) {
-				if !seen[d] {
-					seen[d] = true
-					union++
-				}
-			}
-		}
-		for _, r := range tagged {
-			frac := 0.0
-			if union > 0 {
-				frac = float64(r.Total) / float64(union)
-			}
+		// A feed's share of the tagged union is its "All" column in
+		// Figure 2's tagged matrix.
+		m := analysis.Intersections(s.DS, analysis.ClassTagged)
+		for i, name := range m.Names {
+			frac := m.Frac[i][len(m.Names)]
 			ranked = append(ranked, Ranked{
-				Feed: r.Name, Score: frac,
+				Feed: name, Score: frac,
 				Note: fmt.Sprintf("covers %.0f%% of tagged domains", frac*100),
 			})
 		}
 		sortDesc(ranked)
 	case QPurity:
-		for _, r := range s.Table2() {
+		for _, r := range analysis.Purity(s.DS) {
 			// Positive indicators up, benign contamination down.
 			score := (r.DNS+r.HTTP)/2 - 5*(r.Alexa+r.ODP)
 			ranked = append(ranked, Ranked{
@@ -92,11 +81,7 @@ func (s *Study) Recommend(q Question) []Ranked {
 		}
 		sortDesc(ranked)
 	case QOnset:
-		// Rank over a feed subset with large common support; the full
-		// nine-feed intersection can be tiny in reduced scenarios.
-		rows := analysis.FirstAppearance(s.DS,
-			[]string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"})
-		for _, r := range rows {
+		for _, r := range analysis.FirstAppearance(s.DS, analysis.OnsetFeeds) {
 			if r.Summary.N == 0 {
 				continue
 			}
@@ -107,7 +92,7 @@ func (s *Study) Recommend(q Question) []Ranked {
 		}
 		sortAsc(ranked)
 	case QCampaignEnd:
-		for _, r := range s.Figure11() {
+		for _, r := range analysis.LastAppearance(s.DS, analysis.HoneypotFeeds) {
 			if r.Summary.N == 0 {
 				continue
 			}
@@ -118,7 +103,7 @@ func (s *Study) Recommend(q Question) []Ranked {
 		}
 		sortAsc(ranked)
 	case QProportionality:
-		vd := s.Figure7()
+		vd := analysis.VariationDistances(s.DS)
 		for i, name := range vd.Names {
 			if name == analysis.MailColumn {
 				continue

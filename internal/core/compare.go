@@ -6,7 +6,6 @@ import (
 
 	"tasterschoice/internal/analysis"
 	"tasterschoice/internal/report"
-	"tasterschoice/internal/stats"
 )
 
 // MetricDelta is one headline metric compared across two studies —
@@ -36,7 +35,7 @@ func Compare(a, b *Study) []MetricDelta {
 			return taggedCoverageFrac(s, "uribl") * 100
 		}),
 		metric("Bot DNS purity", "%", func(s *Study) float64 {
-			for _, r := range s.Table2() {
+			for _, r := range analysis.Purity(s.DS) {
 				if r.Name == "Bot" {
 					return r.DNS * 100
 				}
@@ -52,7 +51,7 @@ func Compare(a, b *Study) []MetricDelta {
 			return hu / mx
 		}),
 		metric("mx2 vs Mail variation distance", "", func(s *Study) float64 {
-			vd := s.Figure7()
+			vd := analysis.VariationDistances(s.DS)
 			for i, n := range vd.Names {
 				if n == "mx2" {
 					return vd.Value[i][0]
@@ -61,9 +60,7 @@ func Compare(a, b *Study) []MetricDelta {
 			return 1
 		}),
 		metric("mx1 median onset", "h", func(s *Study) float64 {
-			rows := analysis.FirstAppearance(s.DS,
-				[]string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"})
-			for _, r := range rows {
+			for _, r := range analysis.FirstAppearance(s.DS, analysis.OnsetFeeds) {
 				if r.Name == "mx1" && r.Summary.N > 0 {
 					return r.Summary.Median
 				}
@@ -73,18 +70,13 @@ func Compare(a, b *Study) []MetricDelta {
 	}
 }
 
-// taggedCoverageFrac is a feed's tagged domains over the union.
+// taggedCoverageFrac is a feed's tagged domains over the union: its
+// "All" column in Figure 2's tagged matrix.
 func taggedCoverageFrac(s *Study, feed string) float64 {
-	rows := analysis.Coverage(s.DS, analysis.ClassTagged)
-	union := map[string]bool{}
-	for _, name := range s.DS.Result.Order {
-		for d := range analysis.FeedDomains(s.DS, name, analysis.ClassTagged) {
-			union[d] = true
-		}
-	}
-	for _, r := range rows {
-		if r.Name == feed {
-			return stats.Fraction(r.Total, len(union))
+	m := analysis.Intersections(s.DS, analysis.ClassTagged)
+	for i, name := range m.Names {
+		if name == feed {
+			return m.Frac[i][len(m.Names)]
 		}
 	}
 	return 0

@@ -4,16 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"tasterschoice/internal/analysis"
-	"tasterschoice/internal/report"
 )
-
-// Selection returns the greedy feed-acquisition order for a domain
-// class (§5: "obtain a set that is as diverse as possible").
-func (s *Study) Selection(class analysis.DomainClass) []analysis.SelectionStep {
-	return analysis.GreedySelection(s.DS, class)
-}
 
 // WriteCSVDir writes every table and figure as a CSV file under dir
 // (created if needed) for external plotting.
@@ -21,49 +12,25 @@ func (s *Study) WriteCSVDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, emit func(f *os.File) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("core: writing %s: %w", name, err)
-		}
-		return f.Close()
-	}
-
-	all, live, tagged := s.Table3()
-	mLive, mTagged := s.Figure2()
-	revRows, revTotal := s.Figure6()
-
-	steps := []struct {
-		name string
-		emit func(f *os.File) error
-	}{
-		{"table1_feeds.csv", func(f *os.File) error { return report.CSVFeedSummary(f, s.Table1()) }},
-		{"table2_purity.csv", func(f *os.File) error { return report.CSVPurity(f, s.Table2()) }},
-		{"table3_coverage.csv", func(f *os.File) error { return report.CSVCoverage(f, all, live, tagged) }},
-		{"figure2_live.csv", func(f *os.File) error { return report.CSVMatrix(f, mLive) }},
-		{"figure2_tagged.csv", func(f *os.File) error { return report.CSVMatrix(f, mTagged) }},
-		{"figure3_volume.csv", func(f *os.File) error { return report.CSVVolume(f, s.Figure3()) }},
-		{"figure4_programs.csv", func(f *os.File) error { return report.CSVMatrix(f, s.Figure4()) }},
-		{"figure5_affiliates.csv", func(f *os.File) error { return report.CSVMatrix(f, s.Figure5()) }},
-		{"figure6_revenue.csv", func(f *os.File) error { return report.CSVRevenue(f, revRows, revTotal) }},
-		{"figure7_variation.csv", func(f *os.File) error { return report.CSVPairwise(f, s.Figure7()) }},
-		{"figure8_kendall.csv", func(f *os.File) error { return report.CSVPairwise(f, s.Figure8()) }},
-		{"figure9_first_appearance.csv", func(f *os.File) error { return report.CSVTiming(f, s.Figure9()) }},
-		{"figure10_first_honeypot.csv", func(f *os.File) error { return report.CSVTiming(f, s.Figure10()) }},
-		{"figure11_last_appearance.csv", func(f *os.File) error { return report.CSVTiming(f, s.Figure11()) }},
-		{"figure12_duration.csv", func(f *os.File) error { return report.CSVTiming(f, s.Figure12()) }},
-		{"selection_tagged.csv", func(f *os.File) error {
-			return report.CSVSelection(f, s.Selection(analysis.ClassTagged))
-		}},
-	}
-	for _, step := range steps {
-		if err := write(step.name, step.emit); err != nil {
-			return err
+	for _, f := range s.render() {
+		for _, file := range f.files {
+			if err := writeCSV(dir, file); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// writeCSV writes one file of the export under dir.
+func writeCSV(dir string, file csvFile) error {
+	f, err := os.Create(filepath.Join(dir, file.name))
+	if err != nil {
+		return err
+	}
+	if err := file.write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("core: writing %s: %w", file.name, err)
+	}
+	return f.Close()
 }

@@ -1,120 +1,49 @@
 // Package core is the library's top-level API: a Study wraps a
-// collected dataset and exposes every analysis from the paper, renders
-// the full report (every table and figure), and codifies the paper's
-// §5 guidance as a data-driven feed advisor.
+// collected dataset, renders the full report (every table and figure)
+// and its CSV export from one figure table, and codifies the paper's
+// §5 guidance as a data-driven feed advisor. Callers that need a typed
+// result call the analysis package directly.
 package core
 
 import (
 	"fmt"
 	"io"
-	"time"
+	"sync"
 
 	"tasterschoice/internal/analysis"
-	"tasterschoice/internal/report"
 )
 
 // Study is a feed-comparison study over one dataset.
 type Study struct {
 	DS *analysis.Dataset
+
+	once     sync.Once
+	rendered []figure
 }
 
 // NewStudy wraps a dataset.
 func NewStudy(ds *analysis.Dataset) *Study { return &Study{DS: ds} }
 
-// Table1 returns the feed summary (paper Table 1).
-func (s *Study) Table1() []analysis.FeedSummary { return analysis.Table1(s.DS) }
-
-// Table2 returns the purity indicators (paper Table 2).
-func (s *Study) Table2() []analysis.PurityRow { return analysis.Purity(s.DS) }
-
-// Table3 returns coverage rows for all three domain classes (paper
-// Table 3 / Figure 1).
-func (s *Study) Table3() (all, live, tagged []analysis.CoverageRow) {
-	return analysis.Coverage(s.DS, analysis.ClassAll),
-		analysis.Coverage(s.DS, analysis.ClassLive),
-		analysis.Coverage(s.DS, analysis.ClassTagged)
-}
-
-// Figure2 returns the pairwise intersection matrices (live, tagged).
-func (s *Study) Figure2() (live, tagged *analysis.Matrix) {
-	return analysis.Intersections(s.DS, analysis.ClassLive),
-		analysis.Intersections(s.DS, analysis.ClassTagged)
-}
-
-// Figure3 returns the volume-coverage rows.
-func (s *Study) Figure3() []analysis.VolumeRow { return analysis.VolumeCoverage(s.DS) }
-
-// Figure4 returns the affiliate-program coverage matrix.
-func (s *Study) Figure4() *analysis.Matrix { return analysis.ProgramCoverage(s.DS) }
-
-// Figure5 returns the RX affiliate-identifier coverage matrix.
-func (s *Study) Figure5() *analysis.Matrix { return analysis.AffiliateCoverage(s.DS) }
-
-// Figure6 returns revenue-weighted affiliate coverage.
-func (s *Study) Figure6() ([]analysis.RevenueRow, float64) {
-	return analysis.RevenueCoverage(s.DS)
-}
-
-// Figure7 returns pairwise variation distances (incl. Mail).
-func (s *Study) Figure7() *analysis.PairwiseDist { return analysis.VariationDistances(s.DS) }
-
-// Figure8 returns pairwise Kendall τ-b (incl. Mail).
-func (s *Study) Figure8() *analysis.PairwiseDist { return analysis.KendallTaus(s.DS) }
-
-// Figure9 returns first-appearance timing against the all-feeds
-// baseline (minus Bot).
-func (s *Study) Figure9() []analysis.TimingRow {
-	return analysis.FirstAppearance(s.DS, analysis.Fig9Feeds(s.DS))
-}
-
-// Figure10 returns first-appearance timing against the honeypot-only
-// baseline.
-func (s *Study) Figure10() []analysis.TimingRow {
-	return analysis.FirstAppearance(s.DS, analysis.HoneypotFeeds)
-}
-
-// Figure11 returns last-appearance deltas over the honeypot feeds.
-func (s *Study) Figure11() []analysis.TimingRow {
-	return analysis.LastAppearance(s.DS, analysis.HoneypotFeeds)
-}
-
-// Figure12 returns duration-estimate deltas over the honeypot feeds.
-func (s *Study) Figure12() []analysis.TimingRow {
-	return analysis.Duration(s.DS, analysis.HoneypotFeeds)
+// render runs every entry of figures once per Study; the report and
+// the CSV export share its result.
+func (s *Study) render() []figure {
+	s.once.Do(func() {
+		s.rendered = make([]figure, len(figures))
+		for i, e := range figures {
+			s.rendered[i] = e.render(s.DS)
+		}
+	})
+	return s.rendered
 }
 
 // WriteReport prints every table and figure to w, in paper order.
 func (s *Study) WriteReport(w io.Writer) error {
-	section := func(title, body string) {
-		fmt.Fprintf(w, "== %s ==\n%s\n", title, body)
+	for _, f := range s.render() {
+		for _, sec := range f.sections {
+			if _, err := fmt.Fprintf(w, "== %s ==\n%s\n", sec.title, sec.body); err != nil {
+				return err
+			}
+		}
 	}
-	section("Table 1: feed summary", report.FeedSummaryTable(s.Table1()))
-	section("Table 2: purity indicators", report.PurityTable(s.Table2()))
-	all, live, tagged := s.Table3()
-	section("Table 3: coverage (total / exclusive)", report.CoverageTable(all, live, tagged))
-	section("Figure 1: distinct vs exclusive (live)", report.ExclusiveScatter(live))
-	section("Figure 1: distinct vs exclusive (tagged)", report.ExclusiveScatter(tagged))
-	mLive, mTagged := s.Figure2()
-	section("Figure 2: pairwise intersection (live)", report.MatrixTable(mLive))
-	section("Figure 2: pairwise intersection (tagged)", report.MatrixTable(mTagged))
-	section("Figure 3: volume coverage", report.VolumeBars(s.Figure3()))
-	section("Figure 4: affiliate-program coverage", report.MatrixTable(s.Figure4()))
-	section("Figure 5: RX affiliate coverage", report.MatrixTable(s.Figure5()))
-	rows, total := s.Figure6()
-	section("Figure 6: revenue-weighted affiliate coverage", report.RevenueBars(rows, total))
-	section("Figure 7: pairwise variation distance", report.PairwiseTable(s.Figure7()))
-	section("Figure 8: pairwise Kendall tau-b", report.PairwiseTable(s.Figure8()))
-	section("Figure 9: first appearance (all-feed baseline, minus Bot)", report.TimingTable(s.Figure9()))
-	section("Figure 10: first appearance (honeypot baseline)", report.TimingTable(s.Figure10()))
-	section("Figure 11: last appearance vs campaign end", report.TimingTable(s.Figure11()))
-	section("Figure 12: domain lifetime vs campaign duration", report.TimingTable(s.Figure12()))
-	section("Greedy feed acquisition order (tagged domains, §5)",
-		report.SelectionTable(s.Selection(analysis.ClassTagged)))
-	section("Tagged domains by goods category (extension)",
-		report.CategoryTable(analysis.CategoryBreakdown(s.DS)))
-	section("Campaign reconstruction from single feeds (extension)",
-		report.ReconstructionTable(analysis.ReconstructAll(s.DS, 12*time.Hour)))
-	section("Category volume shares per feed vs real mail (extension; §5's extrapolation warning)",
-		report.SharesTable(analysis.CategoryShares(s.DS)))
 	return nil
 }

@@ -167,7 +167,7 @@ func TestCompare(t *testing.T) {
 
 func TestSelectionInStudy(t *testing.T) {
 	s := testStudy(t)
-	steps := s.Selection(analysis.ClassTagged)
+	steps := analysis.GreedySelection(s.DS, analysis.ClassTagged)
 	if len(steps) != 10 || steps[0].Feed != "Hu" {
 		t.Fatalf("selection: %+v", steps[:1])
 	}
@@ -196,3 +196,19 @@ func TestWriteCSVDir(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFigures times each entry of the figure table, analysis and
+// rendering together, over one warm default-scale dataset.
+func BenchmarkFigures(b *testing.B) {
+	ds := simulate.Default(2010).MustRun()
+	ds.Index() // built lazily by the first analysis; keep it out of the timings
+	for _, e := range figures {
+		b.Run(e.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				figureSink = e.render(ds)
+			}
+		})
+	}
+}
+
+var figureSink figure

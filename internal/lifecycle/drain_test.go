@@ -19,18 +19,19 @@ import (
 	"tasterschoice/internal/smtpd"
 )
 
-// TestStackDrainUnderLoad runs the operational pipeline — an MTA
+// TestShutdownDrainUnderLoad runs the operational pipeline — an MTA
 // filtering over a live DNSBL — under concurrent SMTP load, then
-// drains the whole stack mid-traffic through lifecycle.Stack (the
-// SIGTERM path). It asserts the drain contract end to end:
+// drains it mid-traffic the way a SIGTERM does: the MTA first, then
+// the DNSBL server its in-flight mail still queries, under one
+// deadline. It asserts the drain contract end to end:
 //
 //   - every message a client saw accepted (250) was processed by the
 //     MTA: zero lost in-flight sessions;
 //   - the drain completes well inside its deadline;
-//   - no goroutines leak once the stack is down.
+//   - no goroutines leak once both servers are down.
 //
 // Run with -race; the interleavings are the point.
-func TestStackDrainUnderLoad(t *testing.T) {
+func TestShutdownDrainUnderLoad(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	// Blacklist zone served over real UDP.
@@ -60,10 +61,6 @@ func TestStackDrainUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	stack := &lifecycle.Stack{}
-	stack.Add("dnsbl", dnsblSrv) // backend first: drained last
-	stack.Add("mta", mtaSrv)     // frontend last: drained first
 
 	// Load: workers open sessions and push messages until the drain
 	// refuses them. confirmed counts messages whose 250 arrived.
@@ -107,14 +104,18 @@ func TestStackDrainUnderLoad(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if confirmed.Load() == 0 {
-		t.Fatal("no load reached the stack")
+		t.Fatal("no load reached the pipeline")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	start := time.Now()
-	if err := stack.Shutdown(ctx); err != nil {
-		t.Fatalf("stack shutdown: %v", err)
+	// Front end first: the MTA stops taking mail before the DNSBL its
+	// in-flight sessions still query goes away.
+	for _, srv := range []lifecycle.Server{mtaSrv, dnsblSrv} {
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
 	}
 	drainTook := time.Since(start)
 	close(stopLoad)

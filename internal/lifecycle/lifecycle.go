@@ -5,16 +5,13 @@
 // mta) implements Server: Shutdown stops accepting new work, lets
 // in-flight sessions finish, and force-closes only when the caller's
 // context expires. Run drains one server when its context is
-// cancelled. Stack composes servers into one ordered unit — started
-// first, drained last — so a SIGTERM drains the mail path before the
-// blacklist it queries.
+// cancelled. A process that runs several servers shuts them down
+// front end first, so the mail path drains before the blacklist it
+// queries (drain_test.go drains such a pipeline under load).
 package lifecycle
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
 	"time"
 )
 
@@ -41,57 +38,4 @@ func Run(ctx context.Context, srv Server, drainTimeout time.Duration) error {
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	return srv.Shutdown(dctx)
-}
-
-// Stack is an ordered set of servers shut down in reverse of the order
-// they were added — dependencies first in, last out, so a front-end
-// drains before the back-end it still needs for its in-flight work.
-type Stack struct {
-	mu      sync.Mutex
-	entries []stackEntry
-}
-
-type stackEntry struct {
-	name string
-	srv  Server
-}
-
-// Add registers a server under a name used in error reports. Add in
-// dependency order: backends first.
-func (st *Stack) Add(name string, srv Server) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.entries = append(st.entries, stackEntry{name, srv})
-}
-
-// Shutdown drains every server in reverse registration order, sharing
-// one deadline. It keeps going past failures and returns them joined,
-// so one stuck server cannot prevent the rest from draining.
-func (st *Stack) Shutdown(ctx context.Context) error {
-	st.mu.Lock()
-	entries := make([]stackEntry, len(st.entries))
-	copy(entries, st.entries)
-	st.mu.Unlock()
-	var errs []error
-	for i := len(entries) - 1; i >= 0; i-- {
-		if err := entries[i].srv.Shutdown(ctx); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", entries[i].name, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Close force-closes every server in reverse registration order.
-func (st *Stack) Close() error {
-	st.mu.Lock()
-	entries := make([]stackEntry, len(st.entries))
-	copy(entries, st.entries)
-	st.mu.Unlock()
-	var errs []error
-	for i := len(entries) - 1; i >= 0; i-- {
-		if err := entries[i].srv.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", entries[i].name, err))
-		}
-	}
-	return errors.Join(errs...)
 }

@@ -7,19 +7,14 @@ import (
 	"time"
 )
 
-// fakeServer records shutdown order and can stall until force-closed.
+// fakeServer records that it was shut down.
 type fakeServer struct {
 	name  string
 	order *[]string
 	mu    *sync.Mutex
-	stall bool
 }
 
 func (f *fakeServer) Shutdown(ctx context.Context) error {
-	if f.stall {
-		<-ctx.Done()
-		return ctx.Err()
-	}
 	f.mu.Lock()
 	*f.order = append(*f.order, f.name)
 	f.mu.Unlock()
@@ -27,43 +22,6 @@ func (f *fakeServer) Shutdown(ctx context.Context) error {
 }
 
 func (f *fakeServer) Close() error { return nil }
-
-func TestStackShutdownReverseOrder(t *testing.T) {
-	var order []string
-	var mu sync.Mutex
-	st := &Stack{}
-	for _, name := range []string{"backend", "middle", "frontend"} {
-		st.Add(name, &fakeServer{name: name, order: &order, mu: &mu})
-	}
-	if err := st.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"frontend", "middle", "backend"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("shutdown order %v, want %v", order, want)
-		}
-	}
-}
-
-func TestStackShutdownContinuesPastStuckServer(t *testing.T) {
-	var order []string
-	var mu sync.Mutex
-	st := &Stack{}
-	st.Add("backend", &fakeServer{name: "backend", order: &order, mu: &mu})
-	st.Add("stuck", &fakeServer{name: "stuck", order: &order, mu: &mu, stall: true})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	err := st.Shutdown(ctx)
-	if err == nil {
-		t.Fatal("stuck server's failure swallowed")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 1 || order[0] != "backend" {
-		t.Fatalf("backend not drained after stuck frontend: %v", order)
-	}
-}
 
 func TestRunDrainsOnCancel(t *testing.T) {
 	var order []string

@@ -124,8 +124,7 @@ func TestShapeHybMostlyExclusiveLive(t *testing.T) {
 
 func TestShapeHuAndDblEarliest(t *testing.T) {
 	forEachSeed(t, func(t *testing.T, seed uint64, ds *analysis.Dataset) {
-		rows := analysis.FirstAppearance(ds,
-			[]string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"})
+		rows := analysis.FirstAppearance(ds, analysis.OnsetFeeds)
 		byName := map[string]analysis.TimingRow{}
 		for _, r := range rows {
 			byName[r.Name] = r

@@ -36,32 +36,6 @@ func NewDistFromCounts(counts map[string]int64) Dist {
 	return d
 }
 
-// Restrict returns the distribution renormalized over only the keys in
-// the given support set. Keys outside the support are discarded. If no
-// mass remains, the result is empty.
-func (d Dist) Restrict(support map[string]bool) Dist {
-	// Sum in sorted key order: float addition is not associative, so
-	// map-order summation would make the normalizer (and every output
-	// probability) vary between runs in the last ulp.
-	keys := d.sortedKeys()
-	total := 0.0
-	for _, k := range keys {
-		if support[k] {
-			total += d[k]
-		}
-	}
-	out := make(Dist)
-	if total == 0 {
-		return out
-	}
-	for _, k := range keys {
-		if support[k] {
-			out[k] = d[k] / total
-		}
-	}
-	return out
-}
-
 // sortedKeys returns the distribution's keys in lexicographic order,
 // the canonical iteration order for float accumulation.
 func (d Dist) sortedKeys() []string {
@@ -71,17 +45,6 @@ func (d Dist) sortedKeys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Support returns the set of keys with positive probability.
-func (d Dist) Support() map[string]bool {
-	s := make(map[string]bool, len(d))
-	for k, p := range d {
-		if p > 0 {
-			s[k] = true
-		}
-	}
-	return s
 }
 
 // Total returns the probability mass (1 for a proper distribution, 0
@@ -99,10 +62,11 @@ func (d Dist) Total() float64 {
 // as in the paper. The result is in [0, 1]: 0 iff P = Q, 1 iff their
 // supports are disjoint.
 func VariationDistance(p, q Dist) float64 {
-	// Accumulate over the sorted union of both supports: one canonical
-	// order makes the result bit-identical across runs (see Restrict)
-	// AND bit-symmetric — δ(P, Q) == δ(Q, P) exactly, not just up to
-	// the last ulp, which the fuzz target asserts.
+	// Accumulate over the sorted union of both supports: float addition
+	// is not associative, so one canonical order makes the result
+	// bit-identical across runs AND bit-symmetric — δ(P, Q) == δ(Q, P)
+	// exactly, not just up to the last ulp, which the fuzz target
+	// asserts.
 	union := make(map[string]bool, len(p)+len(q))
 	for k := range p {
 		union[k] = true

@@ -29,29 +29,6 @@ func TestNewDistEmpty(t *testing.T) {
 	}
 }
 
-func TestRestrict(t *testing.T) {
-	d := NewDistFromCounts(map[string]int64{"a": 1, "b": 1, "c": 2})
-	r := d.Restrict(map[string]bool{"a": true, "c": true})
-	if !almost(r["a"], 1.0/3) || !almost(r["c"], 2.0/3) {
-		t.Fatalf("Restrict = %v", r)
-	}
-	if _, ok := r["b"]; ok {
-		t.Fatal("b should be removed")
-	}
-	empty := d.Restrict(map[string]bool{"zzz": true})
-	if len(empty) != 0 {
-		t.Fatalf("Restrict to disjoint support = %v", empty)
-	}
-}
-
-func TestSupport(t *testing.T) {
-	d := Dist{"a": 0.5, "b": 0.5, "c": 0}
-	s := d.Support()
-	if !s["a"] || !s["b"] || s["c"] {
-		t.Fatalf("Support = %v", s)
-	}
-}
-
 func TestVariationDistanceIdentical(t *testing.T) {
 	p := NewDistFromCounts(map[string]int64{"a": 5, "b": 5})
 	if got := VariationDistance(p, p); !almost(got, 0) {
@@ -231,67 +208,5 @@ func TestKendallFastLargeInput(t *testing.T) {
 	t2, _, ok2 := kendallTauBNaive(p, q)
 	if !ok1 || !ok2 || !almost(t1, t2) {
 		t.Fatalf("fast %g vs naive %g (ok %v/%v)", t1, t2, ok1, ok2)
-	}
-}
-
-func TestSpearmanPerfect(t *testing.T) {
-	p := Dist{"a": 1, "b": 2, "c": 3, "d": 4}
-	q := Dist{"a": 10, "b": 20, "c": 30, "d": 40}
-	rho, n, ok := SpearmanRho(p, q)
-	if !ok || n != 4 || !almost(rho, 1) {
-		t.Fatalf("rho=%g n=%d ok=%v", rho, n, ok)
-	}
-	q = Dist{"a": 40, "b": 30, "c": 20, "d": 10}
-	rho, _, _ = SpearmanRho(p, q)
-	if !almost(rho, -1) {
-		t.Fatalf("rho = %g, want -1", rho)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	// Classic: ranks with ties still give a value in [-1, 1] and
-	// monotone agreement stays positive.
-	p := Dist{"a": 1, "b": 1, "c": 2, "d": 3}
-	q := Dist{"a": 5, "b": 6, "c": 6, "d": 9}
-	rho, _, ok := SpearmanRho(p, q)
-	if !ok || rho <= 0 || rho > 1 {
-		t.Fatalf("rho = %g ok=%v", rho, ok)
-	}
-}
-
-func TestSpearmanDegenerate(t *testing.T) {
-	if _, _, ok := SpearmanRho(Dist{"a": 1}, Dist{"a": 1}); ok {
-		t.Error("single pair should not be ok")
-	}
-	if _, _, ok := SpearmanRho(Dist{"a": 1, "b": 1}, Dist{"a": 1, "b": 2}); ok {
-		t.Error("constant x ranking should not be ok")
-	}
-}
-
-func TestSpearmanKendallAgreeOnSign(t *testing.T) {
-	f := func(vals [8]uint8) bool {
-		p := Dist{"a": float64(vals[0]), "b": float64(vals[1]) + 3, "c": float64(vals[2]) + 7, "d": float64(vals[3]) + 11}
-		q := Dist{"a": float64(vals[4]), "b": float64(vals[5]) + 3, "c": float64(vals[6]) + 7, "d": float64(vals[7]) + 11}
-		rho, _, ok1 := SpearmanRho(p, q)
-		tau, _, ok2 := KendallTauB(p, q)
-		if !ok1 || !ok2 {
-			return true
-		}
-		// Strong disagreement in sign (both decisively nonzero) would
-		// indicate a bug.
-		return !(rho > 0.5 && tau < -0.5) && !(rho < -0.5 && tau > 0.5)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAverageRanks(t *testing.T) {
-	got := averageRanks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if !almost(got[i], want[i]) {
-			t.Fatalf("ranks = %v, want %v", got, want)
-		}
 	}
 }

@@ -124,76 +124,3 @@ func countInversions(xs, buf []float64) int64 {
 	copy(xs, buf)
 	return inv
 }
-
-// SpearmanRho computes Spearman's rank correlation coefficient between
-// the values p and q assign to their common keys, with average ranks
-// for ties — a companion to Kendall's τ-b for the proportionality
-// analysis. ok is false for fewer than 2 common keys or a constant
-// ranking.
-func SpearmanRho(p, q Dist) (rho float64, n int, ok bool) {
-	// Walk the common keys in sorted order so the rank-vector float
-	// sums below accumulate in a fixed order across runs.
-	type pair struct{ x, y float64 }
-	var pairs []pair
-	for _, k := range p.sortedKeys() {
-		if qv, shared := q[k]; shared {
-			pairs = append(pairs, pair{p[k], qv})
-		}
-	}
-	n = len(pairs)
-	if n < 2 {
-		return 0, n, false
-	}
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i, pr := range pairs {
-		xs[i] = pr.x
-		ys[i] = pr.y
-	}
-	rx := averageRanks(xs)
-	ry := averageRanks(ys)
-	// Pearson correlation of the rank vectors.
-	var mx, my float64
-	for i := 0; i < n; i++ {
-		mx += rx[i]
-		my += ry[i]
-	}
-	mx /= float64(n)
-	my /= float64(n)
-	var cov, vx, vy float64
-	for i := 0; i < n; i++ {
-		dx := rx[i] - mx
-		dy := ry[i] - my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
-	}
-	if vx == 0 || vy == 0 {
-		return 0, n, false
-	}
-	return cov / math.Sqrt(vx*vy), n, true
-}
-
-// averageRanks assigns 1-based ranks with ties receiving the average
-// of the ranks they span.
-func averageRanks(vals []float64) []float64 {
-	n := len(vals)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j < n && vals[idx[j]] == vals[idx[i]] {
-			j++
-		}
-		avg := float64(i+j+1) / 2 // mean of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j
-	}
-	return ranks
-}

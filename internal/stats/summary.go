@@ -6,20 +6,9 @@ import (
 	"time"
 )
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of the values using
-// linear interpolation between order statistics (type-7, the common
-// spreadsheet definition). It returns NaN for an empty slice. The input
-// need not be sorted.
-func Quantile(values []float64, q float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(values))
-	copy(s, values)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
+// quantileSorted returns the q-th quantile (0 <= q <= 1) of the
+// sorted, non-empty s, interpolating linearly between order statistics
+// (type-7, the common spreadsheet definition).
 func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]

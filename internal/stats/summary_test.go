@@ -8,41 +8,45 @@ import (
 	"time"
 )
 
+// The quantile tests run through Summarize, the live caller of
+// quantileSorted; q = 0 and 1 are its Min and Max.
 func TestQuantileBasics(t *testing.T) {
-	vals := []float64{3, 1, 2, 4, 5} // unsorted on purpose
-	cases := []struct{ q, want float64 }{
-		{0, 1},
-		{0.25, 2},
-		{0.5, 3},
-		{0.75, 4},
-		{1, 5},
+	s := Summarize([]float64{3, 1, 2, 4, 5}) // unsorted on purpose
+	cases := []struct {
+		q, got, want float64
+	}{
+		{0, s.Min, 1},
+		{0.25, s.P25, 2},
+		{0.5, s.Median, 3},
+		{0.75, s.P75, 4},
+		{1, s.Max, 5},
 	}
 	for _, c := range cases {
-		if got := Quantile(vals, c.q); !almost(got, c.want) {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
+		if !almost(c.got, c.want) {
+			t.Errorf("quantile %g = %g, want %g", c.q, c.got, c.want)
 		}
 	}
 }
 
 func TestQuantileInterpolation(t *testing.T) {
 	vals := []float64{0, 10}
-	if got := Quantile(vals, 0.5); !almost(got, 5) {
-		t.Errorf("Quantile(0.5) = %g, want 5", got)
+	if got := Summarize(vals).Median; !almost(got, 5) {
+		t.Errorf("median = %g, want 5", got)
 	}
-	if got := Quantile(vals, 0.1); !almost(got, 1) {
-		t.Errorf("Quantile(0.1) = %g, want 1", got)
+	if got := quantileSorted(vals, 0.1); !almost(got, 1) {
+		t.Errorf("quantile 0.1 = %g, want 1", got)
 	}
 }
 
 func TestQuantileEmpty(t *testing.T) {
-	if got := Quantile(nil, 0.5); !math.IsNaN(got) {
-		t.Errorf("Quantile(nil) = %g, want NaN", got)
+	if got := Summarize(nil); got != (Summary{}) {
+		t.Errorf("Summarize(nil) = %+v, want the zero Summary", got)
 	}
 }
 
 func TestQuantileDoesNotMutate(t *testing.T) {
 	vals := []float64{3, 1, 2}
-	Quantile(vals, 0.5)
+	Summarize(vals)
 	if vals[0] != 3 || vals[1] != 1 || vals[2] != 2 {
 		t.Fatalf("input mutated: %v", vals)
 	}

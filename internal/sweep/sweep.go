@@ -22,7 +22,6 @@ import (
 
 	"tasterschoice/internal/analysis"
 	"tasterschoice/internal/checkpoint"
-	"tasterschoice/internal/core"
 	"tasterschoice/internal/mailflow"
 	"tasterschoice/internal/obs"
 	"tasterschoice/internal/parallel"
@@ -110,7 +109,7 @@ func ScenarioRunner(small bool, m mailflow.Metrics, tr *obs.Tracer) SeedRunner {
 		if err != nil {
 			return nil, err
 		}
-		return ExtractMetrics(core.NewStudy(ds)), nil
+		return ExtractMetrics(ds), nil
 	}
 }
 
@@ -231,29 +230,24 @@ func tableRows(seeds int, results map[string]map[string]float64) [][]string {
 }
 
 // ExtractMetrics pulls the headline numbers from one run.
-func ExtractMetrics(s *core.Study) map[string]float64 {
+func ExtractMetrics(ds *analysis.Dataset) map[string]float64 {
 	out := map[string]float64{}
 
 	// Coverage.
-	union := map[string]bool{}
-	for _, name := range s.DS.Result.Order {
-		for d := range analysis.FeedDomains(s.DS, name, analysis.ClassTagged) {
-			union[d] = true
+	tagged := analysis.Intersections(ds, analysis.ClassTagged)
+	for i, name := range tagged.Names {
+		if name == "Hu" && tagged.UnionSize > 0 {
+			out["Hu tagged coverage %"] = 100 * float64(tagged.SetSizes[i]) / float64(tagged.UnionSize)
 		}
 	}
-	for _, r := range analysis.Coverage(s.DS, analysis.ClassTagged) {
-		if r.Name == "Hu" && len(union) > 0 {
-			out["Hu tagged coverage %"] = 100 * float64(r.Total) / float64(len(union))
-		}
-	}
-	for _, r := range analysis.Coverage(s.DS, analysis.ClassLive) {
+	for _, r := range analysis.Coverage(ds, analysis.ClassLive) {
 		if r.Name == "Hyb" && r.Total > 0 {
 			out["Hyb exclusive live %"] = 100 * float64(r.Exclusive) / float64(r.Total)
 		}
 	}
 
 	// Purity.
-	for _, r := range s.Table2() {
+	for _, r := range analysis.Purity(ds) {
 		switch r.Name {
 		case "Bot":
 			out["Bot DNS purity %"] = r.DNS * 100
@@ -263,19 +257,19 @@ func ExtractMetrics(s *core.Study) map[string]float64 {
 	}
 
 	// Volume coverage.
-	for _, r := range s.Figure3() {
+	for _, r := range analysis.VolumeCoverage(ds) {
 		if r.Name == "uribl" {
 			out["uribl tagged volume %"] = r.TaggedPct * 100
 		}
 	}
 
 	// Sample ratio.
-	if mx1 := s.DS.Feed("mx1").Samples(); mx1 > 0 {
-		out["Hu/mx1 sample ratio"] = float64(s.DS.Feed("Hu").Samples()) / float64(mx1)
+	if mx1 := ds.Feed("mx1").Samples(); mx1 > 0 {
+		out["Hu/mx1 sample ratio"] = float64(ds.Feed("Hu").Samples()) / float64(mx1)
 	}
 
 	// Proportionality.
-	vd := s.Figure7()
+	vd := analysis.VariationDistances(ds)
 	for i, n := range vd.Names {
 		if n == "mx2" {
 			out["mx2-Mail variation distance"] = vd.Value[i][0]
@@ -283,9 +277,7 @@ func ExtractMetrics(s *core.Study) map[string]float64 {
 	}
 
 	// Timing.
-	rows := analysis.FirstAppearance(s.DS,
-		[]string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"})
-	for _, r := range rows {
+	for _, r := range analysis.FirstAppearance(ds, analysis.OnsetFeeds) {
 		if r.Summary.N == 0 {
 			continue
 		}

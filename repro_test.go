@@ -31,7 +31,7 @@ func TestReproductionGate(t *testing.T) {
 
 	t.Run("headline: smallest feed, biggest coverage", func(t *testing.T) {
 		var huSamples, mx2Samples int64
-		for _, r := range study.Table1() {
+		for _, r := range analysis.Table1(ds) {
 			switch r.Name {
 			case "Hu":
 				huSamples = r.Samples
@@ -56,7 +56,7 @@ func TestReproductionGate(t *testing.T) {
 	})
 
 	t.Run("headline: poisoning collapses Bot and mx2", func(t *testing.T) {
-		for _, r := range study.Table2() {
+		for _, r := range analysis.Purity(ds) {
 			switch r.Name {
 			case "Bot":
 				if r.DNS > 0.2 {
@@ -71,10 +71,8 @@ func TestReproductionGate(t *testing.T) {
 	})
 
 	t.Run("headline: early warning order", func(t *testing.T) {
-		rows := analysis.FirstAppearance(ds,
-			[]string{"Hu", "dbl", "uribl", "mx1", "mx2", "Ac1"})
 		med := map[string]float64{}
-		for _, r := range rows {
+		for _, r := range analysis.FirstAppearance(ds, analysis.OnsetFeeds) {
 			if r.Summary.N > 0 {
 				med[r.Name] = r.Summary.Median
 			}
